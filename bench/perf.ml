@@ -623,87 +623,6 @@ let plan_datalog_workload ~reps (name, instance, rules_src, smoke_scale) ~smoke
       ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
     ]
 
-(* Domain-scaling rows: the same chase / Datalog closure at --jobs 1, 2
-   and 4 on a shared pool per jobs count. [cores] records the hardware
-   the trajectory point was taken on: on a single-core container the
-   worker domains time-slice one core, so the parallel timings measure
-   coordination overhead rather than speedup — the rows exist so the
-   trajectory picks up real scaling the first time the harness runs on
-   a multi-core box. Results are cross-checked across jobs counts. *)
-let par_chase_workload ~reps (name, full, smoke_b) ~smoke =
-  let b = if smoke then smoke_b else full in
-  let entry = Rulesets.find name in
-  let run jobs () =
-    Nca_chase.Pool.with_pool ~jobs (fun pool ->
-        Chase.run ~max_depth:b.depth ~max_atoms:b.atoms ?pool entry.instance
-          entry.rules)
-  in
-  let time jobs =
-    Gc.compact ();
-    time_us ~reps (run jobs)
-  in
-  let c1, us1 = time 1 in
-  let c2, us2 = time 2 in
-  let c4, us4 = time 4 in
-  let workload = "par/chase/" ^ name in
-  List.iter
-    (fun (c : Chase.t) ->
-      check_eq ~workload "atoms" (Instance.cardinal c1.Chase.instance)
-        (Instance.cardinal c.Chase.instance);
-      check_eq ~workload "depth" c1.Chase.depth c.Chase.depth)
-    [ c2; c4 ];
-  Json.Obj
-    [
-      ("kind", Json.String "par");
-      ("name", Json.String ("chase/" ^ name));
-      ("max_depth", Json.Int b.depth);
-      ("max_atoms", Json.Int b.atoms);
-      ("atoms", Json.Int (Instance.cardinal c1.Chase.instance));
-      ("cores", Json.Int (Domain.recommended_domain_count ()));
-      ("jobs1_us", Json.Int us1);
-      ("jobs2_us", Json.Int us2);
-      ("jobs4_us", Json.Int us4);
-      ("speedup2_x100", Json.Int (speedup_x100 ~before:us1 ~after:us2));
-      ("speedup4_x100", Json.Int (speedup_x100 ~before:us1 ~after:us4));
-    ]
-
-let par_datalog_workload ~reps (name, instance, rules_src, smoke_scale) ~smoke =
-  let instance = if smoke then smoke_scale instance else instance in
-  let rules = Parser.parse_rules rules_src in
-  let run jobs () =
-    Nca_chase.Pool.with_pool ~jobs (fun pool ->
-        Datalog.closure ?pool instance rules)
-  in
-  let time jobs =
-    Gc.compact ();
-    time_us ~reps (run jobs)
-  in
-  let c1, us1 = time 1 in
-  let c2, us2 = time 2 in
-  let c4, us4 = time 4 in
-  let workload = "par/datalog/" ^ name in
-  List.iter
-    (fun c ->
-      check_eq ~workload "closure" (Instance.cardinal c1) (Instance.cardinal c);
-      if not (Instance.equal c1 c) then begin
-        Fmt.epr "MISMATCH %s: closures differ@." workload;
-        incr failures
-      end)
-    [ c2; c4 ];
-  Json.Obj
-    [
-      ("kind", Json.String "par");
-      ("name", Json.String ("datalog/" ^ name));
-      ("db_atoms", Json.Int (Instance.cardinal instance));
-      ("closure_atoms", Json.Int (Instance.cardinal c1));
-      ("cores", Json.Int (Domain.recommended_domain_count ()));
-      ("jobs1_us", Json.Int us1);
-      ("jobs2_us", Json.Int us2);
-      ("jobs4_us", Json.Int us4);
-      ("speedup2_x100", Json.Int (speedup_x100 ~before:us1 ~after:us2));
-      ("speedup4_x100", Json.Int (speedup_x100 ~before:us1 ~after:us4));
-    ]
-
 (* Finite-model rows: the same bounded search run once on the
    depth-first completion engine (before) and once on the SAT-backed
    grounding (after), under one shared step budget. Two definitive
@@ -822,10 +741,9 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* Host metadata (bench_chase v2): makes the PR-8 caveat — a
-   single-core container measures coordination overhead, not scaling —
-   machine-readable, and lets bench-diff refuse to hard-fail a
-   comparison across differing hosts. *)
+(* Host metadata (bench_chase v2): lets bench-diff refuse to hard-fail
+   a comparison across differing hosts, whose timings are not
+   commensurable. *)
 let git_describe () =
   try
     let ic =
@@ -911,18 +829,13 @@ let run_all ~smoke ~only =
   in
   let fm_rows =
     (* one step budget for both engines per row; reps = 1 because the
-       interesting rows run the DFS side to its budget *)
-    (if smoke then
-       [ ("example1", 2, 50_000); ("succ_only", 2, 50_000) ]
-     else
-       [
-         ("example1", 2, 500_000);
-         ("example1", 4, 500_000);
-         ("example1", 8, 500_000);
-         ("succ_only", 2, 500_000);
-         ("succ_only", 4, 500_000);
-         ("succ_only", 8, 500_000);
-       ])
+       interesting rows run the DFS side to its budget. The smoke run
+       keeps every row (so its bench-diff lists none as removed) at a
+       tenth of the budget. *)
+    let max_steps = if smoke then 50_000 else 500_000 in
+    List.concat_map
+      (fun name -> List.map (fun fresh -> (name, fresh, max_steps)) [ 2; 4; 8 ])
+      [ "example1"; "succ_only" ]
     |> List.filter (fun (n, f, _) -> sel (Fmt.str "fm/%s@fresh%d" n f))
     |> List.map (fun w -> fm_workload ~reps:1 w)
   in
@@ -991,18 +904,6 @@ let run_all ~smoke ~only =
     |> List.filter (fun (n, _, _, _) -> sel ("plan/datalog/" ^ n))
     |> List.map (fun w -> plan_datalog_workload ~reps w ~smoke)
   in
-  let par_chase_rows =
-    chase_workloads
-    |> List.filter (fun (n, _, _) -> List.mem n [ "example1"; "all_pairs" ])
-    |> List.filter (fun (n, _, _) -> sel ("par/chase/" ^ n))
-    |> List.map (fun w -> par_chase_workload ~reps w ~smoke)
-  in
-  let par_datalog_rows =
-    datalog_workloads
-    |> List.filter (fun (n, _, _, _) -> n = "tc_chain")
-    |> List.filter (fun (n, _, _, _) -> sel ("par/datalog/" ^ n))
-    |> List.map (fun w -> par_datalog_workload ~reps w ~smoke)
-  in
   Json.Obj
     [
       ("schema", Json.String "nocliques/bench_chase/v2");
@@ -1027,11 +928,7 @@ let run_all ~smoke ~only =
            search (planner disabled), after = compiled join plans with \
            leapfrog intersection, on otherwise identical engines; \
            plan/hom rows time trigger enumeration alone over the chase \
-           fixpoint. par rows: the same engine at --jobs 1/2/4 on a \
-           worker-domain pool; [cores] is the host's available core \
-           count — with cores = 1 the domains time-slice a single core \
-           and the jobs > 1 points measure coordination overhead, not \
-           scaling. obs rows: before = chase with every profiling layer \
+           fixpoint. obs rows: before = chase with every profiling layer \
            recording (telemetry + metrics + event ring), after = all \
            off, so speedup_x100 is the recording overhead (100 = free). \
            v2 adds the host block (cores, ocaml_version, os_type, git \
@@ -1042,8 +939,7 @@ let run_all ~smoke ~only =
         Json.List
           (chase_rows @ datalog_rows @ hom_rows @ fm_rows @ rewrite_rows
           @ classify_rows @ provenance_rows @ obs_rows @ intern_rows
-          @ plan_chase_rows @ plan_hom_rows @ plan_datalog_rows
-          @ par_chase_rows @ par_datalog_rows) );
+          @ plan_chase_rows @ plan_hom_rows @ plan_datalog_rows) );
     ]
 
 let summarize doc =

@@ -35,7 +35,6 @@ module Proof = Nca_provenance.Proof
 module Certificate = Nca_core.Certificate
 module Proof_report = Nca_analysis.Proof_report
 module Termination = Nca_analysis.Termination
-module Pool = Nca_chase.Pool
 module Events = Nca_obs.Events
 module Metrics = Nca_obs.Metrics
 module Trace_export = Nca_obs.Trace_export
@@ -122,7 +121,6 @@ type obs = {
   timeout : float option;
   provenance : bool;
   no_planner : bool;
-  jobs : int;
 }
 
 let obs_term =
@@ -148,10 +146,10 @@ let obs_term =
       & opt (some string) None
       & info [ "trace-json" ] ~docv:"FILE"
           ~doc:
-            "Record a per-domain event timeline and write it as Chrome \
-             trace-event JSON to $(docv) ($(b,-) for stdout) — loadable \
-             in Perfetto or chrome://tracing, one track per domain. \
-             Written even when the run stops on an exhausted budget.")
+            "Record an event timeline and write it as Chrome trace-event \
+             JSON to $(docv) ($(b,-) for stdout) — loadable in Perfetto \
+             or chrome://tracing. Written even when the run stops on an \
+             exhausted budget.")
   in
   let flame_arg =
     Arg.(
@@ -196,12 +194,10 @@ let obs_term =
     Arg.(
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~env:(Cmd.Env.info "NOCLIQUES_JOBS")
           ~doc:
-            "Run the chase and Datalog engines on $(docv) domains (OCaml \
-             multicore). Chase output is byte-identical at any $(docv); \
-             Datalog closures are the same set. $(b,--jobs 1) (the \
-             default) is the plain sequential engine.")
+            "Accepted for script compatibility and otherwise ignored: the \
+             engine is sequential, so output and behaviour are the same \
+             at any $(docv) >= 1.")
   in
   Cterm.(
     const (fun trace stats_json trace_json flame timeout provenance
@@ -218,7 +214,6 @@ let obs_term =
           timeout;
           provenance;
           no_planner;
-          jobs;
         })
     $ trace_arg $ stats_json_arg $ trace_json_arg $ flame_arg $ timeout_arg
     $ provenance_arg $ no_planner_arg $ jobs_arg)
@@ -248,11 +243,7 @@ let scrub_times_requested () =
 
 (* Run a subcommand body with telemetry enabled when requested; the trace
    goes to stderr (diagnostics channel), the JSON snapshot to stdout
-   (machine channel), whatever status the body returns. The body receives
-   the worker pool of a [--jobs N] run ([None] at jobs 1) and threads it
-   to the engines it chooses to parallelize; the pool is shut down — and
-   its accounting captured for the stats payload — before any report is
-   printed, also on exceptions.
+   (machine channel), whatever status the body returns.
 
    Every report is emitted from the [Fun.protect] epilogue, so it runs on
    any path that leaves the body by returning or raising — in particular
@@ -269,11 +260,8 @@ let with_obs obs f =
   if recording || tracing then Metrics.enable ();
   if tracing then Events.enable ();
   if obs.provenance then Provenance.enable ();
-  let pool = if obs.jobs > 1 then Some (Pool.create ~jobs:obs.jobs) else None in
   Fun.protect
     ~finally:(fun () ->
-      let parallel = Option.map Pool.stats pool in
-      Option.iter Pool.shutdown pool;
       let scrub = scrub_times_requested () in
       if tracing then begin
         let snap = Events.snapshot () in
@@ -305,10 +293,10 @@ let with_obs obs f =
         if obs.stats_json then
           Fmt.pr "%s@."
             (Json.to_string
-               (Nca_analysis.Obs_report.of_snapshot ?metrics ?parallel snap))
+               (Nca_analysis.Obs_report.of_snapshot ?metrics snap))
       end;
       if obs.provenance then Provenance.disable ())
-    (fun () -> f pool)
+    f
 
 (* A wall-clock or cancellation stop is a failure to reach a verdict and
    gets the dedicated exit status; structural stops (depth/atoms/rounds…)
@@ -482,10 +470,10 @@ let chase_cmd =
   let run file depth max_atoms print_instance explain explain_nulls proofs
       obs =
     let prog = load file in
-    with_proofs obs proofs ~extra:explain @@ fun pool ->
+    with_proofs obs proofs ~extra:explain @@ fun () ->
     let c =
-      Chase.run ~max_depth:depth ~max_atoms ~budget:(budget_of obs) ?pool
-        prog.facts prog.rules
+      Chase.run ~max_depth:depth ~max_atoms ~budget:(budget_of obs) prog.facts
+        prog.rules
     in
     Fmt.pr "chase: %a@." Chase.pp_stats c;
     if print_instance then Fmt.pr "%a@." Instance.pp c.instance;
@@ -561,9 +549,9 @@ let explain_cmd =
         Fmt.epr "cannot parse FACT %S: %s@." fact_src reason;
         exit 2
     | Ok fact ->
-        with_proofs obs proofs ~extra:true @@ fun pool ->
+        with_proofs obs proofs ~extra:true @@ fun () ->
         let c =
-          Chase.run ~max_depth:depth ~max_atoms ~budget:(budget_of obs) ?pool
+          Chase.run ~max_depth:depth ~max_atoms ~budget:(budget_of obs)
             prog.facts prog.rules
         in
         if not (Instance.mem fact c.Chase.instance) then begin
@@ -618,7 +606,7 @@ let rewrite_cmd =
           Fmt.epr "no query in %s and none given with --query@." file;
           exit 1
     in
-    with_obs obs @@ fun _pool ->
+    with_obs obs @@ fun () ->
     let out =
       Rewrite.rewrite ~max_rounds:rounds ~budget:(budget_of obs) prog.rules q
     in
@@ -644,7 +632,7 @@ let rewrite_cmd =
 let properties_cmd =
   let run file rounds obs =
     let prog = load file in
-    with_obs obs @@ fun _pool ->
+    with_obs obs @@ fun () ->
     Fmt.pr "%a@." Properties.pp_report (Properties.describe prog.rules);
     let verdicts =
       Bdd.for_signature ~max_rounds:rounds ~budget:(budget_of obs) prog.rules
@@ -761,7 +749,7 @@ let lint_cmd =
 let surgery_cmd =
   let run file verify print_rules max_rounds obs =
     let prog = load file in
-    with_obs obs @@ fun _pool ->
+    with_obs obs @@ fun () ->
     guarded @@ fun () ->
     let p =
       Pipeline.regalize ?max_rounds ~budget:(budget_of obs) prog.facts
@@ -817,13 +805,13 @@ let analyze_cmd =
   let run file depth edge proofs obs =
     let prog = load file in
     let e = Symbol.make edge 2 in
-    with_proofs obs proofs @@ fun pool ->
+    with_proofs obs proofs @@ fun () ->
     guarded @@ fun () ->
     let budget = budget_of obs in
     let p = Pipeline.regalize ~budget prog.facts prog.rules in
     Fmt.pr "regalized: %d rules, complete=%b@." (List.length p.final)
       p.complete;
-    let t = Witness.analyze ~depth ~budget ?pool ~e p.final in
+    let t = Witness.analyze ~depth ~budget ~e p.final in
     Fmt.pr "Ch(R∃): %a@." Chase.pp_stats t.chase_ex;
     (match t.closure_stopped with
     | None -> ()
@@ -879,10 +867,10 @@ let tournament_cmd =
   let run file depth max_atoms edge proofs obs =
     let prog = load file in
     let e = Symbol.make edge 2 in
-    with_proofs obs proofs @@ fun pool ->
+    with_proofs obs proofs @@ fun () ->
     let v, chase =
       Theorem1.validate_full ~max_depth:depth ~max_atoms
-        ~budget:(budget_of obs) ?pool ~e prog.facts prog.rules
+        ~budget:(budget_of obs) ~e prog.facts prog.rules
     in
     Fmt.pr "%a@." Theorem1.pp_verdict v;
     (if v.tournament <> [] then
@@ -968,13 +956,13 @@ let classes_cmd =
 let classify_cmd =
   let run file json depth max_atoms obs =
     let prog = load file in
-    with_obs obs @@ fun pool ->
+    with_obs obs @@ fun () ->
     let budget =
       Budget.intersect
         (Budget.v ~max_depth:depth ~max_atoms ())
         (budget_of obs)
     in
-    let t = Termination.classify ~budget ?pool prog.rules in
+    let t = Termination.classify ~budget prog.rules in
     (* referee discipline: re-verify the certificate or witness
        independently before emitting anything — a rejected certificate
        is an analysis failure, not a verdict. Failure is a returned
@@ -1061,7 +1049,7 @@ let finite_cmd =
     let prog = load file in
     let e = Symbol.make edge 2 in
     let forbid = if forbid_loop then Some (Cq.loop_query e) else None in
-    with_obs obs @@ fun _pool ->
+    with_obs obs @@ fun () ->
     match
       Nca_chase.Finite_model.search ~engine ~fresh ?forbid
         ~budget:(budget_of obs) prog.facts prog.rules
@@ -1164,13 +1152,7 @@ let zoo_cmd =
           (fun (e : Rulesets.entry) ->
             Fmt.pr "%-14s %s@." e.name e.description)
           Rulesets.zoo
-    | Some n ->
-        let e = Rulesets.find n in
-        Fmt.pr "# %s — %s@." e.name e.description;
-        List.iter
-          (fun a -> Fmt.pr "%a.@." Atom.pp a)
-          (Instance.sorted_atoms e.instance);
-        List.iter (fun r -> Fmt.pr "%a.@." Rule.pp r) e.rules);
+    | Some n -> Fmt.pr "%a" Rulesets.pp_entry (Rulesets.find n));
     0
   in
   let name_arg =
@@ -1240,33 +1222,19 @@ let intern_stats_cmd =
        bytes) — %d saved by sharing@."
       occurrence_bytes (Hashtbl.length seen) distinct_bytes
       (occurrence_bytes - distinct_bytes);
-    (* the domain-safe substrate, laid bare: the name store's append-only
-       segment arenas and the atom hash-cons shards *)
-    Fmt.pr "  name segments (capacity, entries, live bytes):@.";
-    List.iteri
-      (fun k (capacity, entries, bytes) ->
-        if entries > 0 then
-          Fmt.pr "    seg %2d  %8d cap  %8d live  %8d bytes@." k capacity
-            entries bytes)
-      (Names.segment_stats ());
-    let shards = Atom.shard_stats () in
-    let max_depth =
-      List.fold_left (fun m (_, d) -> max m d) 0 shards
-    in
-    Fmt.pr "  atom shards %d, max collision depth %d:@." (List.length shards)
-      max_depth;
-    List.iteri
-      (fun i (entries, depth) ->
-        Fmt.pr "    shard %2d  %6d entries  depth %d@." i entries depth)
-      shards;
+    List.iter
+      (fun (entries, depth) ->
+        Fmt.pr "  atom table %d entries, max collision depth %d@." entries
+          depth)
+      (Atom.shard_stats ());
     0
   in
   Cmd.v
     (Cmd.info "intern-stats"
        ~doc:
          "Load a program and report intern-table statistics (name, symbol \
-          and atom counts, max ids, bytes saved by sharing; per-segment \
-          arena and per-shard hash-cons breakdown).")
+          and atom counts, max ids, bytes saved by sharing, hash-cons \
+          collision depth).")
     Cterm.(const run $ file_arg)
 
 let plan_cmd =
@@ -1401,10 +1369,9 @@ let termination_graph_cmd =
 
 (* debug bench-diff: the first automated guard on the perf trajectory.
    Compares two BENCH_chase.json-shaped documents row by row (key =
-   kind/name, metric = after_us, or jobs1_us for the par rows) and
-   exits nonzero when any shared workload slowed past the threshold —
-   unless the two host blocks differ, in which case a cross-machine
-   comparison can only warn. *)
+   kind/name, metric = after_us) and exits nonzero when any shared
+   workload slowed past the threshold — unless the two host blocks
+   differ, in which case a cross-machine comparison can only warn. *)
 let bench_diff_cmd =
   let run old_path new_path threshold warn_only =
     let parse path =
@@ -1428,10 +1395,7 @@ let bench_diff_cmd =
         (Option.value ~default:"?" (str "kind" row))
         (Option.value ~default:"?" (str "name" row))
     in
-    let metric row =
-      let int k = Option.bind (Json.member k row) Json.to_int in
-      match int "after_us" with Some v -> Some v | None -> int "jobs1_us"
-    in
+    let metric row = Option.bind (Json.member "after_us" row) Json.to_int in
     (* host comparability (bench_chase v2): absent or differing host
        metadata — or a smoke run against a full run — means the timings
        are not commensurable and the diff can only warn *)

@@ -41,32 +41,11 @@ let sat_json () =
       ("propagations", Json.Int s.Nca_sat.Stats.propagations);
     ]
 
-(* Always present so consumers need no probe: a sequential run reports
-   the one implicit domain with no batches. *)
-let parallel_json = function
-  | None ->
-      Json.Obj
-        [
-          ("jobs", Json.Int 1);
-          ("batches", Json.Int 0);
-          ("domains", Json.List []);
-        ]
-  | Some (s : Nca_chase.Pool.stats) ->
-      Json.Obj
-        [
-          ("jobs", Json.Int s.jobs);
-          ("batches", Json.Int s.batches);
-          ( "domains",
-            Json.List
-              (List.map
-                 (fun (tasks, busy_us) ->
-                   Json.Obj
-                     [
-                       ("tasks", Json.Int tasks);
-                       ("busy_us", Json.Int busy_us);
-                     ])
-                 s.per_domain) );
-        ]
+(* A constant since the engine became sequential: the block stays so
+   [nocliques/stats/v6] is unchanged for consumers. *)
+let parallel_json =
+  Json.Obj
+    [ ("jobs", Json.Int 1); ("batches", Json.Int 0); ("domains", Json.List []) ]
 
 let histo_json (s : Nca_obs.Metrics.snapshot) =
   Json.Obj
@@ -92,7 +71,7 @@ let memory_json (s : Nca_obs.Metrics.snapshot) =
          (name, Json.Obj [ ("last", Json.Int last); ("max", Json.Int mx) ]))
        s.Nca_obs.Metrics.gauges)
 
-let of_snapshot ?metrics ?parallel (snap : Nca_obs.Telemetry.snapshot) =
+let of_snapshot ?metrics (snap : Nca_obs.Telemetry.snapshot) =
   let metrics =
     match metrics with Some m -> m | None -> Nca_obs.Metrics.snapshot ()
   in
@@ -103,7 +82,7 @@ let of_snapshot ?metrics ?parallel (snap : Nca_obs.Telemetry.snapshot) =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) snap.counters) );
       ("plan", plan_json ());
       ("sat", sat_json ());
-      ("parallel", parallel_json parallel);
+      ("parallel", parallel_json);
       ("provenance", provenance_json ());
       ("histograms", histo_json metrics);
       ("memory", memory_json metrics);

@@ -25,10 +25,11 @@
     {!Nca_provenance.Provenance} store's counters (all zero when
     recording is off); [store_bytes] is the store's deterministic
     structural size estimate, not a heap measurement. [v3] added the
-    [plan] object. [v4] added the [parallel] object: the worker-pool
-    accounting of a [--jobs N] run — crew size, batches executed, and
-    per-domain (tasks, busy_us) — or the deterministic
-    [{jobs: 1, batches: 0, domains: []}] when the run was sequential.
+    [plan] object. [v4] added the [parallel] object, the accounting of
+    a worker pool that has since been removed: the engine is
+    sequential, so the block is always the constant
+    [{jobs: 1, batches: 0, domains: []}], kept so the schema stays
+    unchanged.
     [v5] adds the [sat] object: the {!Nca_sat.Stats} process-wide
     solver totals of the SAT-backed finite-model engine (all zero when
     the engine did not run). [v6] adds the [histograms] object (one
@@ -43,13 +44,10 @@ val schema : string
 (** ["nocliques/stats/v6"]. *)
 
 val of_snapshot :
-  ?metrics:Nca_obs.Metrics.snapshot ->
-  ?parallel:Nca_chase.Pool.stats ->
-  Nca_obs.Telemetry.snapshot ->
-  Json.t
+  ?metrics:Nca_obs.Metrics.snapshot -> Nca_obs.Telemetry.snapshot -> Json.t
 (** Counters as one object (sorted by name, as in the snapshot), the
     plan-cache and provenance counters read off the ambient stores, the
-    pool accounting when a pool ran, spans as a recursive array in
-    first-seen order. [?metrics] defaults to the calling domain's
-    ambient {!Nca_obs.Metrics} snapshot; pass one explicitly to render
+    constant [parallel] block, spans as a recursive array in
+    first-seen order. [?metrics] defaults to the ambient
+    {!Nca_obs.Metrics} snapshot; pass one explicitly to render
     a frozen (or scrubbed) store. *)

@@ -364,7 +364,7 @@ let max_round_fact (c : Chase.t) =
         | _ -> Some (fact, e.round))
     None
 
-let run_mfa ?pool budget rules =
+let run_mfa budget rules =
   Telemetry.span "classify.mfa" @@ fun () ->
   let critical = critical_of rules in
   let already = Provenance.enabled () in
@@ -374,7 +374,7 @@ let run_mfa ?pool budget rules =
     (fun () ->
       let chase =
         Chase.run ~variant:Semi_oblivious ~max_depth:1_000_000
-          ~max_atoms:1_000_000 ~budget ?pool critical rules
+          ~max_atoms:1_000_000 ~budget critical rules
       in
       Telemetry.count "classify.mfa.atoms" (Instance.cardinal chase.instance);
       Telemetry.count "classify.mfa.depth" chase.depth;
@@ -500,7 +500,7 @@ let check rules verdict =
 (* ------------------------------------------------------------------ *)
 (* The classifier                                                      *)
 
-let classify ?(budget = default_budget) ?pool rules =
+let classify ?(budget = default_budget) rules =
   Telemetry.span "classify" @@ fun () ->
   Telemetry.incr "classify.runs";
   let classes = Classes.classify rules in
@@ -529,14 +529,14 @@ let classify ?(budget = default_budget) ?pool rules =
       let probe =
         Telemetry.span "classify.probe" (fun () ->
             Chase.run ~variant:Semi_oblivious ~max_depth:3 ~max_atoms:2_000
-              ~budget ?pool (critical_of rules) rules)
+              ~budget (critical_of rules) rules)
       in
       let probe_cyc =
         if probe.saturated then None else cyclic_term rules probe
       in
       let full =
         if probe.saturated || Option.is_none probe_cyc then
-          Some (run_mfa ?pool budget rules)
+          Some (run_mfa budget rules)
         else None
       in
       match full with

@@ -113,12 +113,11 @@ type t = {
 }
 
 val classify :
-  ?budget:Nca_obs.Budget.t -> ?pool:Nca_chase.Pool.t -> Rule.t list -> t
+  ?budget:Nca_obs.Budget.t -> Rule.t list -> t
 (** Run the hierarchy cheapest-first and return the strongest verdict.
     [budget] bounds only the critical-instance chase (default: depth
     16, 10\,000 atoms); the static criteria are polynomial and always
-    run. [pool] parallelizes the critical-instance chases (probe and
-    full MFA run); verification re-runs ({!check}) stay sequential. The emitted certificate or witness is already verified by
+    run. The emitted certificate or witness is already verified by
     {!check} — classification [assert]s it. *)
 
 val classify_cached : Rule.t list -> t

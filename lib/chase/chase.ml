@@ -42,7 +42,7 @@ let ev_stop = Nca_obs.Events.label "budget.stop"
    when their last atom appeared. The first round runs with
    [delta = start], i.e. every trigger over the input. *)
 let run ?(variant = Oblivious) ?max_depth ?max_atoms
-    ?(budget = Nca_obs.Budget.unlimited) ?pool start rules =
+    ?(budget = Nca_obs.Budget.unlimited) start rules =
   (* one governor for every bound: the legacy [max_depth]/[max_atoms]
      arguments and the caller's budget intersect to the tighter value *)
   let budget =
@@ -51,15 +51,6 @@ let run ?(variant = Oblivious) ?max_depth ?max_atoms
          ~max_depth:(Option.value ~default:8 max_depth)
          ~max_atoms:(Option.value ~default:20000 max_atoms)
          ())
-  in
-  (* parallel runs share the budget across domains through a gate:
-     deadline/cancellation can then abort a round mid-enumeration from
-     any worker; the partial round is discarded (before it touches
-     [fired]), so the reported prefix is a valid round boundary *)
-  let gate =
-    match pool with
-    | Some _ -> Some (Nca_obs.Budget.Gate.make budget)
-    | None -> None
   in
   let fired = Keytbl.create 256 in
   let rec go current delta levels_rev level stamps prov =
@@ -78,10 +69,7 @@ let run ?(variant = Oblivious) ?max_depth ?max_atoms
         let t0 = if mt then Nca_obs.Events.now_us () else 0 in
         let round =
           Nca_obs.Telemetry.span "chase.round" @@ fun () ->
-          let raw = Trigger.all_delta ?pool ?gate rules ~total:current ~delta in
-          match Option.bind gate Nca_obs.Budget.Gate.tripped with
-          | Some err -> `Stopped err
-          | None ->
+          let raw = Trigger.all_delta rules ~total:current ~delta in
           let triggers =
             List.filter
               (fun tr ->
@@ -170,9 +158,6 @@ let run ?(variant = Oblivious) ?max_depth ?max_atoms
           Nca_obs.Metrics.observe "chase.round_us"
             (Nca_obs.Events.now_us () - t0);
         match round with
-        | `Stopped err ->
-            finish current levels_rev stamps prov ~saturated:false
-              ~stopped:(Some err)
         | `Saturated ->
             finish current levels_rev stamps prov ~saturated:true
               ~stopped:None

@@ -45,7 +45,7 @@ type variant =
 
 val run :
   ?variant:variant -> ?max_depth:int -> ?max_atoms:int ->
-  ?budget:Nca_obs.Budget.t -> ?pool:Pool.t -> Instance.t -> Rule.t list -> t
+  ?budget:Nca_obs.Budget.t -> Instance.t -> Rule.t list -> t
 (** Run the chase level-synchronously until saturation, [max_depth] levels
     (default 8), more than [max_atoms] atoms (default 20000), or any bound
     of [budget] — the legacy arguments and the budget intersect to the
@@ -60,17 +60,7 @@ val run :
     the triggers that use an atom created in the previous round
     ({!Trigger.all_delta}) instead of re-running every rule body over the
     whole instance, which leaves the computed levels, timestamps and
-    provenance identical to the naive level-by-level definition.
-
-    With [pool], each round's trigger enumeration runs across the pool's
-    domains. Workers only {e enumerate} (no atoms, no nulls); the
-    per-task trigger lists merge in task order — the exact sequential
-    order — and trigger outputs are applied sequentially at the barrier,
-    so the result (levels, null numbering, timestamps, provenance) is
-    {e byte-identical} at any [jobs] count. The budget is shared across
-    domains through a {!Nca_obs.Budget.Gate}: deadline/cancellation can
-    abort a round mid-enumeration, the partial round is discarded, and
-    the reported prefix is a valid round boundary. *)
+    provenance identical to the naive level-by-level definition. *)
 
 val level : t -> int -> Instance.t
 (** [level c k] is [Ch_k]; clamped to the last computed level. *)

@@ -46,129 +46,44 @@ module Atom_tbl = Hashtbl.Make (struct
   let hash = Atom.hash
 end)
 
-exception Gate_tripped
-
 let ev_round = Nca_obs.Events.label "datalog.round.boundary"
 let ev_stop = Nca_obs.Events.label "budget.stop"
 
 (* One semi-naive round: every homomorphism of a rule body into [total]
-   that uses at least one [delta] atom, via the same pivot stratification
-   as [Trigger.all_delta] — body positions before the pivot range over
+   that uses at least one [delta] atom, via the pivot stratification of
+   [Trigger.delta_tasks] — body positions before the pivot range over
    [total ∖ delta], the pivot over [delta], the rest over [total] — so
    each join result is produced exactly once. Derivations accumulate in a
    mutable store; a persistent [Instance] is rebuilt only at the round
-   boundary.
-
-   With a pool, the (rule, pivot) units run across domains. Workers do
-   create atoms (hash-consing handles cross-domain identity), so atom
-   ids are not reproducible run-to-run — but the round's result is a
-   set, and the merge walks the per-task derivation lists in task order,
-   which is exactly the sequential derivation order. First-writer-wins
-   provenance is therefore decided at the merge, on the coordinator, and
-   picks the same entry per fact the sequential loop picks. *)
-let round ?(round_no = 0) ?pool ?gate rules ~total ~delta =
-  let old = Instance.diff total delta in
+   boundary. *)
+let round ?(round_no = 0) rules ~total ~delta =
   let fresh : unit Atom_tbl.t = Atom_tbl.create 64 in
   (* one flag read per round, not per derivation *)
   let tracking = Nca_provenance.Provenance.enabled () in
-  let tasks =
-    List.concat_map
-      (fun rule ->
-        let body = Rule.body rule in
-        List.mapi
-          (fun pivot _ ->
-            ( rule,
-              List.mapi
-                (fun j a ->
-                  ( a,
-                    if j < pivot then old
-                    else if j = pivot then delta
-                    else total ))
-                body ))
-          body)
-      rules
-  in
-  (match pool with
-  | Some p when Pool.jobs p > 1 ->
-      let tasks = Array.of_list tasks in
-      let step =
-        match gate with
-        | None -> fun () -> ()
-        | Some g ->
-            fun () ->
-              if Nca_obs.Budget.Gate.step g then raise_notrace Gate_tripped
-      in
-      let chunks =
-        Pool.map p (Array.length tasks) (fun i ->
-            let rule, goals = tasks.(i) in
-            let head = Rule.head rule in
-            let local : unit Atom_tbl.t = Atom_tbl.create 16 in
-            let acc = ref [] in
-            (try
-               Nca_plan.Exec.iter_targets goals (fun h ->
-                   step ();
-                   List.iter
-                     (fun head_atom ->
-                       let derived = Subst.apply_atom h head_atom in
-                       if
-                         (not (Instance.mem derived total))
-                         && not (Atom_tbl.mem local derived)
-                       then begin
-                         Atom_tbl.add local derived ();
-                         acc := (derived, h) :: !acc
-                       end)
-                     head)
-             with Gate_tripped -> ());
-            (rule, List.rev !acc))
-      in
-      Array.iter
-        (fun (rule, derivs) ->
-          let body = Rule.body rule in
+  List.iter
+    (fun (rule, goals) ->
+      let body = Rule.body rule in
+      let head = Rule.head rule in
+      Nca_plan.Exec.iter_targets goals (fun h ->
           List.iter
-            (fun (derived, h) ->
-              if not (Atom_tbl.mem fresh derived) then begin
+            (fun head_atom ->
+              let derived = Subst.apply_atom h head_atom in
+              if
+                (not (Instance.mem derived total))
+                && not (Atom_tbl.mem fresh derived)
+              then begin
                 if tracking then
                   Nca_provenance.Provenance.record derived ~rule ~hom:h
                     ~round:round_no
                     ~parents:(Subst.apply_atoms h body);
                 Atom_tbl.add fresh derived ()
               end)
-            derivs)
-        chunks
-  | _ ->
-      List.iter
-        (fun (rule, goals) ->
-          let body = Rule.body rule in
-          let head = Rule.head rule in
-          Nca_plan.Exec.iter_targets goals (fun h ->
-              List.iter
-                (fun head_atom ->
-                  let derived = Subst.apply_atom h head_atom in
-                  if
-                    (not (Instance.mem derived total))
-                    && not (Atom_tbl.mem fresh derived)
-                  then begin
-                    if tracking then
-                      Nca_provenance.Provenance.record derived ~rule ~hom:h
-                        ~round:round_no
-                        ~parents:(Subst.apply_atoms h body);
-                    Atom_tbl.add fresh derived ()
-                  end)
-                head))
-        tasks);
+            head))
+    (Trigger.delta_tasks rules ~total ~delta);
   Atom_tbl.fold (fun a () acc -> Instance.add a acc) fresh Instance.empty
 
-let saturate_steps ?pool ~budget start rules =
+let saturate_steps ~budget start rules =
   check_datalog rules;
-  (* With a pool, the budget is shared across domains through a gate so
-     deadline/cancellation can abort a round from any worker; the round
-     is then discarded and the prefix so far reported, the same shape a
-     between-round stop produces. *)
-  let gate =
-    match pool with
-    | Some _ -> Some (Nca_obs.Budget.Gate.make budget)
-    | None -> None
-  in
   let rec go total delta n =
     if Instance.is_empty delta then Ok (total, n)
     else
@@ -185,23 +100,19 @@ let saturate_steps ?pool ~budget start rules =
       | Some err ->
           Nca_obs.Events.instant ev_stop;
           Error { err; partial = total; rounds = n }
-      | None -> (
+      | None ->
           Nca_obs.Events.instant ev_round ~arg:n;
           let mt = Nca_obs.Metrics.enabled () in
           let t0 = if mt then Nca_obs.Events.now_us () else 0 in
           let fresh =
             Nca_obs.Telemetry.span "datalog.round" (fun () ->
-                round ~round_no:(n + 1) ?pool ?gate rules ~total ~delta)
+                round ~round_no:(n + 1) rules ~total ~delta)
           in
           if mt then
             Nca_obs.Metrics.observe "datalog.round_us"
               (Nca_obs.Events.now_us () - t0);
-          match Option.bind gate Nca_obs.Budget.Gate.tripped with
-          | Some err -> Error { err; partial = total; rounds = n }
-          | None ->
-              Nca_obs.Telemetry.count "datalog.atoms"
-                (Instance.cardinal fresh);
-              go (Instance.union total fresh) fresh (n + 1))
+          Nca_obs.Telemetry.count "datalog.atoms" (Instance.cardinal fresh);
+          go (Instance.union total fresh) fresh (n + 1)
   in
   Nca_obs.Telemetry.span "datalog.saturate" @@ fun () ->
   let result = go start start 0 in
@@ -211,7 +122,7 @@ let saturate_steps ?pool ~budget start rules =
   result
 
 let saturate ?max_rounds ?max_atoms ?(budget = Nca_obs.Budget.unlimited)
-    ?pool start rules =
+    start rules =
   (* Datalog closures are finite, so the structural defaults are generous
      safety valves rather than exploration bounds. *)
   let budget =
@@ -221,10 +132,10 @@ let saturate ?max_rounds ?max_atoms ?(budget = Nca_obs.Budget.unlimited)
          ~max_atoms:(Option.value ~default:1_000_000 max_atoms)
          ())
   in
-  Result.map fst (saturate_steps ?pool ~budget start rules)
+  Result.map fst (saturate_steps ~budget start rules)
 
-let closure ?pool start rules =
-  match saturate_steps ?pool ~budget:Nca_obs.Budget.unlimited start rules with
+let closure start rules =
+  match saturate_steps ~budget:Nca_obs.Budget.unlimited start rules with
   | Ok (total, _) -> total
   | Error _ -> assert false (* no bound to exhaust *)
 

@@ -33,24 +33,15 @@ val seed_with : Atom.t -> Atom.t -> Subst.t option
 
 val saturate :
   ?max_rounds:int -> ?max_atoms:int -> ?budget:Nca_obs.Budget.t ->
-  ?pool:Pool.t -> Instance.t -> Rule.t list -> (Instance.t, exhausted) result
+  Instance.t -> Rule.t list -> (Instance.t, exhausted) result
 (** Least fixpoint of the Datalog rules over the instance, or a typed
     exhaustion verdict with the partial closure. Raises {!Not_datalog} on
     a rule with existential variables. The legacy [max_rounds]/[max_atoms]
     arguments (defaults 10000 rounds, 1_000_000 atoms — Datalog closures
     are finite, so these are safety valves) intersect with [budget];
-    deadline and cancellation are checked once per round.
+    deadline and cancellation are checked once per round. *)
 
-    With [pool], each round's (rule, pivot) join units run across the
-    pool's domains and the per-task derivation lists merge in task order
-    on the coordinator — the computed closure is the same set at any
-    [jobs] count, and first-writer-wins provenance picks the same entry
-    per fact the sequential loop picks. The budget is shared across
-    domains through a {!Nca_obs.Budget.Gate}, so deadline/cancellation
-    can abort a round from any worker (the aborted round is discarded;
-    the reported partial closure is a round-boundary prefix, as ever). *)
-
-val closure : ?pool:Pool.t -> Instance.t -> Rule.t list -> Instance.t
+val closure : Instance.t -> Rule.t list -> Instance.t
 (** Unbudgeted least fixpoint — total, since Datalog closures are finite.
     The convenience entry point for callers that want the full closure
     and no budget story (tests, benchmarks, examples). *)

@@ -45,19 +45,7 @@ let all rules i =
    iff some body position maps into [delta]; pinning the {e first} such
    position [p] — positions before [p] map into [total ∖ delta], position
    [p] into [delta], positions after [p] anywhere in [total] — partitions
-   the delta-using homomorphisms, so each is produced exactly once.
-
-   The (rule, pivot) pairs are independent joins over frozen instances,
-   so they are the parallel task unit: with a pool, workers enumerate
-   tasks concurrently and the per-task trigger lists are concatenated in
-   task order — exactly the order the sequential loop produces, so the
-   result is identical at any [jobs] count (workers create no atoms and
-   no nulls; enumeration only reads). The optional gate gives budgeted
-   parallel rounds a cooperative mid-round abort: once it trips, every
-   task unwinds and the caller must discard the round. *)
-
-exception Gate_tripped
-
+   the delta-using homomorphisms, so each is produced exactly once. *)
 let delta_tasks rules ~total ~delta =
   let old = Instance.diff total delta in
   List.concat_map
@@ -76,38 +64,14 @@ let delta_tasks rules ~total ~delta =
         body)
     rules
 
-let all_delta ?pool ?gate rules ~total ~delta =
-  let tasks = delta_tasks rules ~total ~delta in
-  match pool with
-  | Some p when Pool.jobs p > 1 ->
-      let tasks = Array.of_list tasks in
-      let step =
-        match gate with
-        | None -> fun () -> ()
-        | Some g ->
-            fun () ->
-              if Nca_obs.Budget.Gate.step g then raise_notrace Gate_tripped
-      in
-      let chunks =
-        Pool.map p (Array.length tasks) (fun i ->
-            let rule, goals = tasks.(i) in
-            let acc = ref [] in
-            (try
-               Nca_plan.Exec.iter_targets goals (fun hom ->
-                   step ();
-                   acc := { rule; hom } :: !acc)
-             with Gate_tripped -> ());
-            List.rev !acc)
-      in
-      List.concat (Array.to_list chunks)
-  | _ ->
-      let acc = ref [] in
-      List.iter
-        (fun (rule, goals) ->
-          Nca_plan.Exec.iter_targets goals (fun hom ->
-              acc := { rule; hom } :: !acc))
-        tasks;
-      List.rev !acc
+let all_delta rules ~total ~delta =
+  let acc = ref [] in
+  List.iter
+    (fun (rule, goals) ->
+      Nca_plan.Exec.iter_targets goals (fun hom ->
+          acc := { rule; hom } :: !acc))
+    (delta_tasks rules ~total ~delta);
+  List.rev !acc
 
 let output tr =
   let ext =

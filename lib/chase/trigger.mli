@@ -25,29 +25,23 @@ val all : Rule.t list -> Instance.t -> t list
 (** [triggers(I, R)]: every trigger of every rule over the instance. Each
     reported homomorphism binds exactly the body variables. *)
 
-val all_delta :
-  ?pool:Pool.t ->
-  ?gate:Nca_obs.Budget.Gate.t ->
-  Rule.t list ->
-  total:Instance.t ->
-  delta:Instance.t ->
-  t list
+val all_delta : Rule.t list -> total:Instance.t -> delta:Instance.t -> t list
 (** The triggers over [total] whose homomorphism uses at least one atom
     of [delta] (which must be a subset of [total]) — the per-round work
     of a semi-naive chase. Each such trigger is enumerated exactly once:
     the classic pivot decomposition stratifies the rule body over
     [(total ∖ delta, delta, total)]. With [delta = total] this is exactly
     {!all}, and [all total = all_delta ~total ~delta ∪ all (total ∖ delta)]
-    disjointly — property-tested in the suite.
+    disjointly — property-tested in the suite. *)
 
-    With [pool], the (rule, pivot) units of the decomposition are
-    enumerated across the pool's domains and merged in task order —
-    enumeration is read-only (no atoms, no nulls), so the returned list
-    is {e identical} to the sequential one at any [jobs] count. With
-    [gate] (parallel runs only), workers consult the shared budget gate
-    per reported homomorphism; once it trips, every task unwinds — the
-    caller must check {!Nca_obs.Budget.Gate.tripped} and discard the
-    partial round. *)
+val delta_tasks :
+  Rule.t list ->
+  total:Instance.t ->
+  delta:Instance.t ->
+  (Rule.t * (Atom.t * Instance.t) list) list
+(** The pivot decomposition behind {!all_delta}: one [(rule, goals)]
+    unit per (rule, pivot) pair, each body atom paired with the instance
+    it ranges over — for {!Nca_plan.Exec.iter_targets}. *)
 
 val output : t -> Instance.t * Subst.t
 (** The output of the trigger: [h'(head ρ)] where [h'] extends [h] by

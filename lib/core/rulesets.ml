@@ -256,6 +256,13 @@ let zoo =
 
 let find name = List.find (fun e -> String.equal e.name name) zoo
 
+let pp_entry ppf e =
+  Fmt.pf ppf "# %s — %s@." e.name e.description;
+  List.iter
+    (fun a -> Fmt.pf ppf "%a.@." Atom.pp a)
+    (Instance.sorted_atoms e.instance);
+  List.iter (fun r -> Fmt.pf ppf "%a.@." Rule.pp r) e.rules
+
 let random_instance ~seed ~constants ~atoms sign =
   let st = Random.State.make [| seed |] in
   let consts =

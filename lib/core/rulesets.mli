@@ -62,6 +62,11 @@ val zoo : entry list
 val find : string -> entry
 (** Lookup by name. Raises [Not_found]. *)
 
+val pp_entry : entry Fmt.t
+(** The [nocliques zoo NAME] dump: a [#] comment line, the instance's
+    facts, then the rules — a program {!Nca_logic.Parser} reads back to
+    the same facts and rules. *)
+
 val random_instance :
   seed:int -> constants:int -> atoms:int -> Symbol.Set.t -> Instance.t
 (** Random instance over a signature: [atoms] random facts over

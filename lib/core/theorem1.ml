@@ -11,10 +11,9 @@ type verdict = {
   loop_level : int option;
 }
 
-let validate_full ?(max_depth = 6) ?(max_atoms = 20000) ?budget ?pool ~e i
-    rules =
+let validate_full ?(max_depth = 6) ?(max_atoms = 20000) ?budget ~e i rules =
   Nca_obs.Telemetry.span "theorem1.validate" @@ fun () ->
-  let chase = Nca_chase.Chase.run ~max_depth ~max_atoms ?budget ?pool i rules in
+  let chase = Nca_chase.Chase.run ~max_depth ~max_atoms ?budget i rules in
   let graph = Nca_chase.Chase.e_graph e chase in
   let tournament = Nca_graph.Tournament.max_tournament graph in
   let loop_level = Nca_chase.Chase.holds_at chase (Cq.loop_query e) in
@@ -30,8 +29,8 @@ let validate_full ?(max_depth = 6) ?(max_atoms = 20000) ?budget ?pool ~e i
     },
     chase )
 
-let validate ?max_depth ?max_atoms ?budget ?pool ~e i rules =
-  fst (validate_full ?max_depth ?max_atoms ?budget ?pool ~e i rules)
+let validate ?max_depth ?max_atoms ?budget ~e i rules =
+  fst (validate_full ?max_depth ?max_atoms ?budget ~e i rules)
 
 let implication_holds ~threshold v =
   v.max_tournament < threshold || v.loop

@@ -25,12 +25,11 @@ type verdict = {
 
 val validate :
   ?max_depth:int -> ?max_atoms:int -> ?budget:Nca_obs.Budget.t ->
-  ?pool:Nca_chase.Pool.t -> e:Symbol.t -> Instance.t -> Rule.t list -> verdict
+  e:Symbol.t -> Instance.t -> Rule.t list -> verdict
 
 val validate_full :
   ?max_depth:int -> ?max_atoms:int -> ?budget:Nca_obs.Budget.t ->
-  ?pool:Nca_chase.Pool.t -> e:Symbol.t -> Instance.t -> Rule.t list ->
-  verdict * Nca_chase.Chase.t
+  e:Symbol.t -> Instance.t -> Rule.t list -> verdict * Nca_chase.Chase.t
 (** {!validate}, also returning the underlying chase — the certificate
     builders ({!Certificate.of_verdict}) need it to read off edge facts
     and the loop witness. *)

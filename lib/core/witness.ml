@@ -14,11 +14,11 @@ type t = {
 }
 
 let analyze ?(depth = 6) ?max_rounds ?max_disjuncts
-    ?(budget = Nca_obs.Budget.unlimited) ?pool ~e rules =
+    ?(budget = Nca_obs.Budget.unlimited) ~e rules =
   Nca_obs.Telemetry.span "witness.analyze" @@ fun () ->
   let datalog, existential = Rule.split_datalog rules in
   let chase_ex =
-    Nca_chase.Chase.run ~max_depth:depth ~budget ?pool Instance.top existential
+    Nca_chase.Chase.run ~max_depth:depth ~budget Instance.top existential
   in
   (* the Datalog closure is finite: use the semi-naive engine (equivalence
      with the generic chase is part of the test suite). On exhaustion the
@@ -27,7 +27,7 @@ let analyze ?(depth = 6) ?max_rounds ?max_disjuncts
      edge as a fact. *)
   let full_closure, closure_stopped =
     match
-      Nca_chase.Datalog.saturate ~max_atoms:200000 ~budget ?pool
+      Nca_chase.Datalog.saturate ~max_atoms:200000 ~budget
         chase_ex.Nca_chase.Chase.instance datalog
     with
     | Ok total -> (total, None)

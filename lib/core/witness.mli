@@ -33,15 +33,12 @@ val analyze :
   ?max_rounds:int ->
   ?max_disjuncts:int ->
   ?budget:Nca_obs.Budget.t ->
-  ?pool:Nca_chase.Pool.t ->
   e:Symbol.t ->
   Rule.t list ->
   t
 (** Build the Section-5 data for a (regal) rule set. [depth] bounds both
     chases (default 6); [budget] governs the existential chase, the
-    Datalog closure and the injective rewriting alike; [pool] runs the
-    chase and closure rounds across its domains (the rewriting stays
-    sequential). *)
+    Datalog closure and the injective rewriting alike. *)
 
 val edges : t -> (Term.t * Term.t) list
 (** The E-edges of the full chase. *)

@@ -25,7 +25,11 @@ val upper_bound : int list -> int
 val four_clique_bound : colors:int -> int
 (** [four_clique_bound ~colors:k] is [upper_bound [4; …; 4]] with [k]
     fours: the paper's bound [N(4, …, 4)] on tournament size for a rule set
-    whose injective rewriting of [E] has [k] disjuncts (Question 46). *)
+    whose injective rewriting of [E] has [k] disjuncts (Question 46).
+    The bound outgrows [int] from [k = 12] on: it then saturates at
+    [max_int] (as does {!upper_bound} on any argument list), and since
+    it is monotone in [k] the search stops at the first saturating
+    count, so any [k] answers instantly. *)
 
 val is_exact : int list -> bool
 (** Whether the returned value is a known exact Ramsey number rather than

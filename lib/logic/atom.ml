@@ -3,24 +3,10 @@ type t = { id : int; hash : int; pred : Symbol.t; args : Term.t list }
 (* Atoms are hash-consed: [make] returns the unique (physically shared)
    atom for a given predicate and argument tuple, keyed on the int codes
    of its parts. Equality is physical, comparison is on the dense id,
-   and the hash is precomputed at construction.
-
-   The table is sharded for domain safety: the precomputed hash selects
-   one of [n_shards] buckets, each a [Hashtbl] behind its own mutex, so
-   concurrent construction of distinct atoms contends only on hash
-   collisions and construction of the same atom serialises on one shard
-   and returns the one shared value. Ids come from an atomic counter —
-   dense, never recycled, and allocation-ordered (on a single domain the
-   numbering is exactly the sequential one). *)
-let n_shards = 16
-
-type shard = { tbl : (int list, t) Hashtbl.t; lock : Mutex.t }
-
-let shards =
-  Array.init n_shards (fun _ ->
-      { tbl = Hashtbl.create 256; lock = Mutex.create () })
-
-let next = Atomic.make 0
+   and the hash is precomputed at construction. Ids are dense, never
+   recycled, and allocation-ordered. *)
+let table : (int list, t) Hashtbl.t = Hashtbl.create 4096
+let next = ref 0
 
 let make pred args =
   if List.length args <> Symbol.arity pred then
@@ -29,30 +15,19 @@ let make pred args =
          (List.length args));
   let key = Symbol.id pred :: List.map Term.code args in
   let hash = List.fold_left (fun h c -> (h * 31) + c) 17 key in
-  let s = shards.((hash land max_int) mod n_shards) in
-  Mutex.lock s.lock;
-  match Hashtbl.find_opt s.tbl key with
-  | Some a ->
-      Mutex.unlock s.lock;
-      a
+  match Hashtbl.find_opt table key with
+  | Some a -> a
   | None ->
-      let a = { id = Atomic.fetch_and_add next 1; hash; pred; args } in
-      Hashtbl.add s.tbl key a;
-      Mutex.unlock s.lock;
+      let a = { id = !next; hash; pred; args } in
+      incr next;
+      Hashtbl.add table key a;
       a
-  | exception e ->
-      Mutex.unlock s.lock;
-      raise e
 
-(* Per-shard (entries, max bucket depth): the collision picture behind
+(* (entries, max bucket depth): the collision picture behind
    [nocliques debug intern-stats]. *)
 let shard_stats () =
-  Array.to_list
-    (Array.map
-       (fun s ->
-         let st = Hashtbl.stats s.tbl in
-         (st.Hashtbl.num_bindings, st.Hashtbl.max_bucket_length))
-       shards)
+  let st = Hashtbl.stats table in
+  [ (st.Hashtbl.num_bindings, st.Hashtbl.max_bucket_length) ]
 
 let app name args = make (Symbol.make name (List.length args)) args
 let top = make Symbol.top []
@@ -60,7 +35,7 @@ let pred a = a.pred
 let args a = a.args
 let arity a = Symbol.arity a.pred
 let id a = a.id
-let count () = Atomic.get next
+let count () = !next
 
 let terms a =
   List.fold_left (fun acc t -> Term.Set.add t acc) Term.Set.empty a.args

@@ -29,8 +29,8 @@ val count : unit -> int
 (** Number of distinct atoms hash-consed so far. *)
 
 val shard_stats : unit -> (int * int) list
-(** Per-shard [(entries, max_bucket_depth)] of the sharded hash-cons
-    table (construction is sharded by hash for domain safety), behind
+(** [[(entries, max_bucket_depth)]] of the hash-cons table — a single
+    entry (the list shape is kept for existing callers), behind
     [nocliques debug intern-stats]. *)
 
 val terms : t -> Term.Set.t

@@ -29,14 +29,9 @@ type t = {
      maps of this very record, so memoizing it here never changes the
      observable value of the instance — [add]/[remove] build records with
      fresh empty caches. Atoms are stored in ascending [Atom.id] order
-     ([Atom.Set.elements]), the order the leapfrog executor merges on.
-     The caches are atomics so concurrent domains probing the same frozen
-     instance are safe: a freshly built array is published by a CAS of
-     the map (release), and readers go through [Atomic.get] (acquire), so
-     the array contents are fully visible. A lost CAS race merely means
-     one domain rebuilds an array the other already published. *)
-  acache : Atom.t array Pos_map.t Atomic.t;
-  pcache : Atom.t array Symbol.Map.t Atomic.t;
+     ([Atom.Set.elements]), the order the leapfrog executor merges on. *)
+  mutable acache : Atom.t array Pos_map.t;
+  mutable pcache : Atom.t array Symbol.Map.t;
 }
 
 let empty =
@@ -45,8 +40,8 @@ let empty =
     size = 0;
     index = Symbol.Map.empty;
     pos = Pos_map.empty;
-    acache = Atomic.make Pos_map.empty;
-    pcache = Atomic.make Symbol.Map.empty;
+    acache = Pos_map.empty;
+    pcache = Symbol.Map.empty;
   }
 
 let update_pos f a pos =
@@ -77,8 +72,8 @@ let add a i =
                 | Some s -> Some (Atom.Set.add a s))
               pos)
           a i.pos;
-      acache = Atomic.make Pos_map.empty;
-      pcache = Atomic.make Symbol.Map.empty;
+      acache = Pos_map.empty;
+      pcache = Symbol.Map.empty;
     }
 
 let remove a i =
@@ -106,8 +101,8 @@ let remove a i =
                     if Atom.Set.is_empty s then None else Some s)
               pos)
           a i.pos;
-      acache = Atomic.make Pos_map.empty;
-      pcache = Atomic.make Symbol.Map.empty;
+      acache = Pos_map.empty;
+      pcache = Symbol.Map.empty;
     }
 
 let of_list l = List.fold_left (fun i a -> add a i) empty l
@@ -170,24 +165,17 @@ let candidate_count a sub i =
       min best (Atom.Set.cardinal (pos_find (Pos.key p pos t) i)))
     (pred_cardinal p i) (bound_positions a sub)
 
-(* Publish a freshly built array under [key]: retry the CAS on a lost
-   race so concurrently added entries are never dropped. *)
-let rec cache_add cache add key arr =
-  let old = Atomic.get cache in
-  if not (Atomic.compare_and_set cache old (add key arr old)) then
-    cache_add cache add key arr
-
 let posting p pos t i =
   let key = Pos.key p pos t in
-  match Pos_map.find_opt key (Atomic.get i.acache) with
+  match Pos_map.find_opt key i.acache with
   | Some arr -> arr
   | None ->
       let arr = Array.of_list (Atom.Set.elements (pos_find key i)) in
-      cache_add i.acache Pos_map.add key arr;
+      i.acache <- Pos_map.add key arr i.acache;
       arr
 
 let pred_array p i =
-  match Symbol.Map.find_opt p (Atomic.get i.pcache) with
+  match Symbol.Map.find_opt p i.pcache with
   | Some arr -> arr
   | None ->
       let arr =
@@ -195,7 +183,7 @@ let pred_array p i =
         | None -> [||]
         | Some s -> Array.of_list (Atom.Set.elements s)
       in
-      cache_add i.pcache Symbol.Map.add p arr;
+      i.pcache <- Symbol.Map.add p arr i.pcache;
       arr
 
 let pos_cardinal p pos t i = Atom.Set.cardinal (pos_find (Pos.key p pos t) i)

@@ -6,98 +6,42 @@
    string, so equality, comparison and hashing downstream are integer
    operations. The table only grows: ids are never recycled, which is
    what makes them safe to use as array indices and hash keys across
-   the whole lifetime of the process.
+   the whole lifetime of the process. The id → string direction is a
+   doubling array, the string → id direction a [Hashtbl]. *)
 
-   Domain safety. The id → string direction is a lock-free append-only
-   segmented store: segment [k] is an immutable-once-published array of
-   [base lsl k] slots, so the store never reallocates and a reader
-   never observes a slot being moved. Writers fill the slot for a fresh
-   id, then publish the id by bumping the atomic [next] counter with a
-   release write; a reader that obtained an id (directly or through any
-   synchronising edge — and every id below [Atomic.get next] is such)
-   reads the slot with plain loads. The string → id direction (a
-   [Hashtbl], which is not safe under concurrent mutation) and the
-   fresh-name counter are serialised behind one writer mutex: interning
-   is a rare, parse-time or round-barrier operation, while [name] and
-   the id comparisons are the hot path and stay lock-free. *)
+let table : (string, int) Hashtbl.t = Hashtbl.create 1024
+let names : string array ref = ref (Array.make 1024 "")
+let next = ref 0
 
-let base = 1024
-let max_segments = 40
-
-(* segment k holds ids [base*(2^k - 1), base*(2^(k+1) - 1)) *)
-let segment_of id =
-  let k =
-    (* position of the highest set bit of (id / base + 1) *)
-    let rec msb n acc = if n <= 1 then acc else msb (n lsr 1) (acc + 1) in
-    msb ((id / base) + 1) 0
-  in
-  (k, id - (base * ((1 lsl k) - 1)))
-
-let segments : string array array = Array.make max_segments [||]
-let () = segments.(0) <- Array.make base ""
-let next = Atomic.make 0
-let table : (string, int) Hashtbl.t = Hashtbl.create base
-let lock = Mutex.create ()
-
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-(* Called under [lock] only. *)
-let intern_unlocked s =
+let intern s =
   match Hashtbl.find_opt table s with
   | Some id -> id
   | None ->
-      let id = Atomic.get next in
-      let k, off = segment_of id in
-      if k >= max_segments then failwith "Names: intern table full";
-      if Array.length segments.(k) = 0 then
-        segments.(k) <- Array.make (base lsl k) "";
-      segments.(k).(off) <- s;
+      let id = !next in
+      if id = Array.length !names then begin
+        let bigger = Array.make (2 * id) "" in
+        Array.blit !names 0 bigger 0 id;
+        names := bigger
+      end;
+      !names.(id) <- s;
       Hashtbl.add table s id;
-      (* release: the slot write above happens-before any reader that
-         sees this id as allocated *)
-      Atomic.set next (id + 1);
+      next := id + 1;
       id
 
-let intern s = with_lock (fun () -> intern_unlocked s)
-
 let name id =
-  if id < 0 || id >= Atomic.get next then
+  if id < 0 || id >= !next then
     invalid_arg (Printf.sprintf "Names.name: unknown id %d" id);
-  let k, off = segment_of id in
-  segments.(k).(off)
+  !names.(id)
 
-let known s = with_lock (fun () -> Hashtbl.mem table s)
-let count () = Atomic.get next
+let known s = Hashtbl.mem table s
+let count () = !next
 
 let live_bytes () =
-  let n = Atomic.get next in
   let acc = ref 0 in
-  for id = 0 to n - 1 do
-    let k, off = segment_of id in
-    acc := !acc + String.length segments.(k).(off)
+  for id = 0 to !next - 1 do
+    acc := !acc + String.length !names.(id)
   done;
   !acc
-
-(* Per-segment (entries, payload bytes) for the populated prefix of the
-   store — the inspection behind [nocliques debug intern-stats]. *)
-let segment_stats () =
-  let n = Atomic.get next in
-  let rec go k acc =
-    let start = base * ((1 lsl k) - 1) in
-    if start >= n || k >= max_segments then List.rev acc
-    else begin
-      let cap = base lsl k in
-      let entries = min cap (n - start) in
-      let bytes = ref 0 in
-      for off = 0 to entries - 1 do
-        bytes := !bytes + String.length segments.(k).(off)
-      done;
-      go (k + 1) ((cap, entries, !bytes) :: acc)
-    end
-  in
-  go 0 []
 
 let compare_names a b =
   if Int.equal a b then 0 else String.compare (name a) (name b)
@@ -109,26 +53,20 @@ let compare_names a b =
    downstream golden tests depend on. Unlike the historical scheme the
    generated name is checked against the intern table and skipped if a
    user program already claimed it, so freshness holds by construction
-   rather than by the [_]-prefix convention alone. The counter lives
-   under the writer mutex with the table it consults. *)
+   rather than by the [_]-prefix convention alone. *)
 let gen = ref 0
 
-let fresh ?(prefix = "v") () =
-  with_lock @@ fun () ->
-  let rec attempt () =
-    incr gen;
-    let s = Printf.sprintf "_%s%d" prefix !gen in
-    if Hashtbl.mem table s then attempt () else intern_unlocked s
-  in
-  attempt ()
+let rec fresh ?(prefix = "v") () =
+  incr gen;
+  let s = Printf.sprintf "_%s%d" prefix !gen in
+  if Hashtbl.mem table s then fresh ~prefix () else intern s
 
 (* Labelled nulls are numbered, not named; they share the "only ever
-   incremented" discipline so chase runs never reuse a null. The counter
-   is atomic so null invention is safe from any domain, though the
-   engines only invent nulls on the coordinating domain (at the round
-   barrier) so that numbering stays deterministic. *)
-let null_gen = Atomic.make 0
+   incremented" discipline so chase runs never reuse a null. *)
+let null_gen = ref 0
 
-let fresh_null_id () = Atomic.fetch_and_add null_gen 1 + 1
+let fresh_null_id () =
+  incr null_gen;
+  !null_gen
 
 let is_reserved s = String.length s > 0 && s.[0] = '_'

@@ -7,14 +7,7 @@
     The table is deliberately global and append-only: names are created
     once (at parse time or by the fresh-name generator) and compared
     millions of times in the chase and rewriting inner loops, so the
-    string itself is only resolved again at pretty-printing time.
-
-    The table is domain-safe. Id → string resolution ({!name},
-    {!compare_names}) is lock-free: ids index an append-only store of
-    immutable-once-published segments, published by a release write of
-    the atomic id counter. String → id operations ({!intern}, {!known},
-    {!fresh}) serialise behind a writer mutex — they happen at parse
-    time or at round barriers, never in a worker's inner loop. *)
+    string itself is only resolved again at pretty-printing time. *)
 
 val intern : string -> int
 (** [intern s] returns the id of [s], allocating a fresh one on first
@@ -32,11 +25,6 @@ val count : unit -> int
 
 val live_bytes : unit -> int
 (** Total bytes of the distinct interned strings (payload only). *)
-
-val segment_stats : unit -> (int * int * int) list
-(** Per-segment [(capacity, entries, payload_bytes)] of the populated
-    prefix of the append-only store, first segment first — the layout
-    behind [nocliques debug intern-stats]. *)
 
 val compare_names : int -> int -> int
 (** [compare_names a b] orders ids by their underlying strings — the

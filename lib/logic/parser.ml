@@ -19,6 +19,7 @@ type token =
   | Arrow
   | Question
   | Colon
+  | Exists
   | Eof
 
 type lexer = {
@@ -83,6 +84,16 @@ let lex_token lx =
         lx.pos <- lx.pos + 1
       done;
       Ident (String.sub lx.input start (lx.pos - start))
+    end
+    else if
+      (* U+2203 '∃' in UTF-8, as [Rule.pp] prints it *)
+      c = '\xe2'
+      && lx.pos + 2 < String.length lx.input
+      && lx.input.[lx.pos + 1] = '\x88'
+      && lx.input.[lx.pos + 2] = '\x83'
+    then begin
+      lx.pos <- lx.pos + 3;
+      Exists
     end
     else begin
       lx.pos <- lx.pos + 1;
@@ -219,6 +230,45 @@ let parse_query_body lx env =
   let body = parse_atom_list lx env ~const:false in
   Cq.make ~answer body
 
+(* A rule head after the arrow, with an optional "∃v₁,…,vₙ." prefix as
+   [Rule.pp] prints it. The prefix only documents the existential
+   variables (a head variable absent from the body is existential either
+   way), so it is checked against the body and head and then dropped. *)
+let parse_head lx env ~body =
+  let listed =
+    if lx.tok <> Exists then []
+    else begin
+      advance lx;
+      let rec go acc =
+        let at = lx.tok_pos in
+        let v = parse_term lx ~const:false in
+        let acc = (v, at) :: acc in
+        if lx.tok = Comma then begin
+          advance lx;
+          go acc
+        end
+        else List.rev acc
+      in
+      let vs = go [] in
+      expect lx Dot "'.' after the existential variables";
+      vs
+    end
+  in
+  let head = parse_atom_list lx env ~const:false in
+  let body_vars = Atom.vars_of_list body in
+  let head_vars = Atom.vars_of_list head in
+  List.iter
+    (fun (v, at) ->
+      if Term.Set.mem v body_vars then
+        error_at at
+          (Fmt.str "existential variable %a occurs in the rule body" Term.pp v)
+      else if not (Term.Set.mem v head_vars) then
+        error_at at
+          (Fmt.str "existential variable %a does not occur in the rule head"
+             Term.pp v))
+    listed;
+  head
+
 (* A statement starting with an identifier: either "name: rule", or a rule /
    fact starting with an atom list. *)
 let parse_statement lx env =
@@ -234,7 +284,7 @@ let parse_statement lx env =
       expect lx Colon "':'";
       let body = parse_atom_list lx env ~const:false in
       expect lx Arrow "'->'";
-      let head = parse_atom_list lx env ~const:false in
+      let head = parse_head lx env ~body in
       expect lx Dot "'.'";
       `Rule (Rule.make ~name body head)
   | Ident _ ->
@@ -244,7 +294,7 @@ let parse_statement lx env =
       let atoms = parse_atom_list lx env ~const:false in
       if lx.tok = Arrow then begin
         advance lx;
-        let head = parse_atom_list lx env ~const:false in
+        let head = parse_head lx env ~body:atoms in
         expect lx Dot "'.'";
         `Rule (Rule.make atoms head)
       end

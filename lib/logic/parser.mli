@@ -5,8 +5,9 @@
       program   ::= statement*
       statement ::= fact | rule | query
       fact      ::= atoms "."              (identifiers are constants)
-      rule      ::= [name ":"] atoms "->" atoms "."
+      rule      ::= [name ":"] atoms "->" [exists] atoms "."
                                            (identifiers are variables)
+      exists    ::= "∃" terms "."
       query     ::= "?" atoms "."          (Boolean)
                   | "?(" terms ")" atoms "."
       atoms     ::= atom ("," atom)*
@@ -15,7 +16,13 @@
     v}
     Predicate names start with an uppercase letter, terms with a lowercase
     letter, a digit or [_]. The arity of a predicate is inferred from its
-    first use and must stay consistent. *)
+    first use and must stay consistent.
+
+    A head variable absent from the body is existential. The optional
+    [∃v₁,…,vₙ.] prefix names such variables explicitly, as
+    {!Rule.pp} prints rules, so a [nocliques zoo NAME] dump parses back;
+    a listed variable that occurs in the body or is missing from the
+    head is an {!Error}. *)
 
 type program = {
   facts : Instance.t;

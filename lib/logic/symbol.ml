@@ -1,36 +1,27 @@
 type t = { id : int; name : int; arity : int }
 
 (* Symbols are interned: one record per (name, arity) pair, identified
-   by a dense id. [equal]/[compare]/[hash] are single int operations.
-   The table sits behind a mutex — symbol creation happens at parse
-   time, never in an engine inner loop, so one lock suffices. *)
+   by a dense id. [equal]/[compare]/[hash] are single int operations. *)
 let table : (int * int, t) Hashtbl.t = Hashtbl.create 256
-let next = Atomic.make 0
-let lock = Mutex.create ()
+let next = ref 0
 
 let make name arity =
   if arity < 0 then invalid_arg "Symbol.make: negative arity";
   if String.equal name "" then invalid_arg "Symbol.make: empty name";
   let nid = Names.intern name in
-  Mutex.lock lock;
   match Hashtbl.find_opt table (nid, arity) with
-  | Some s ->
-      Mutex.unlock lock;
-      s
+  | Some s -> s
   | None ->
-      let s = { id = Atomic.fetch_and_add next 1; name = nid; arity } in
+      let s = { id = !next; name = nid; arity } in
+      incr next;
       Hashtbl.add table (nid, arity) s;
-      Mutex.unlock lock;
       s
-  | exception e ->
-      Mutex.unlock lock;
-      raise e
 
 let name s = Names.name s.name
 let name_id s = s.name
 let id s = s.id
 let arity s = s.arity
-let count () = Atomic.get next
+let count () = !next
 let top = make "TOP" 0
 let compare a b = Int.compare a.id b.id
 let equal a b = Int.equal a.id b.id

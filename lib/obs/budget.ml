@@ -117,54 +117,3 @@ let disjuncts b ~used =
   match b.max_disjuncts with
   | Some l when used > l -> over Disjuncts l used
   | _ -> None
-
-(* A gate shares one budget across domains: workers bump a single atomic
-   step counter and consult the asynchronous checkpoints only once per
-   [period] steps (the counter's low bits), so the hot path is one
-   atomic load plus one fetch-and-add. The verdict is a set-once flag —
-   the first tripper wins its CAS and every later [step]/[tripped] call
-   on any domain observes the same verdict. *)
-module Gate = struct
-  type budget = t
-
-  type t = {
-    budget : budget;
-    steps : int Atomic.t;
-    stop : Exhausted.t option Atomic.t;
-    mask : int;
-  }
-
-  let make ?(period = 4096) budget =
-    let rec pow2 n = if n >= period then n else pow2 (n * 2) in
-    {
-      budget;
-      steps = Atomic.make 0;
-      stop = Atomic.make None;
-      mask = pow2 1 - 1;
-    }
-
-  let ev_trip = Events.label "budget.trip"
-
-  (* only the winning CAS emits the instant: one trip, one event, no
-     matter how many domains race past their checkpoints *)
-  let trip g e =
-    if Atomic.compare_and_set g.stop None (Some e) then Events.instant ev_trip
-  let tripped g = Atomic.get g.stop
-
-  let step g =
-    match Atomic.get g.stop with
-    | Some _ -> true
-    | None ->
-        let n = Atomic.fetch_and_add g.steps 1 in
-        if n land g.mask = g.mask then (
-          (match interrupted g.budget with
-          | Some e -> trip g e
-          | None -> (
-              match steps g.budget ~used:(n + 1) with
-              | Some e -> trip g e
-              | None -> ()));
-          Option.is_some (Atomic.get g.stop))
-        else false
-
-  let steps_taken g = Atomic.get g.steps
-end

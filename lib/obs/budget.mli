@@ -69,35 +69,3 @@ val rounds_reached : t -> used:int -> Exhausted.t option
 val atoms : t -> used:int -> Exhausted.t option
 val steps : t -> used:int -> Exhausted.t option
 val disjuncts : t -> used:int -> Exhausted.t option
-
-(** {1 Parallel gate}
-
-    One budget shared across domains. Worker loops call {!Gate.step}
-    per unit of work: it bumps a single atomic counter and, once per
-    [period] steps, consults the asynchronous checkpoints
-    ({!interrupted} and {!steps}). The verdict is a set-once atomic
-    flag, so the first domain to trip it stops every other domain at
-    its next [step] — cooperative cancellation with no locks and no
-    signals. *)
-module Gate : sig
-  type budget = t
-  type t
-
-  val make : ?period:int -> budget -> t
-  (** [make ?period b] wraps [b]. [period] (default 4096, rounded up to
-      a power of two) is how many steps pass between checkpoint
-      consultations. *)
-
-  val step : t -> bool
-  (** Record one unit of work; [true] means the gate has tripped and
-      the caller should unwind cleanly. *)
-
-  val trip : t -> Exhausted.t -> unit
-  (** Force the verdict (first writer wins; later calls are no-ops). *)
-
-  val tripped : t -> Exhausted.t option
-  (** The verdict, if any domain tripped the gate. *)
-
-  val steps_taken : t -> int
-  (** Total steps recorded across all domains. *)
-end

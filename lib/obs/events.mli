@@ -1,26 +1,20 @@
-(** Event tracing: a fixed-capacity, per-domain ring buffer of
-    timestamped begin/end/instant events.
+(** Event tracing: a fixed-capacity ring buffer of timestamped
+    begin/end/instant events.
 
     Where {!Telemetry} aggregates (a span's total time over all calls),
     [Events] keeps the {e timeline}: each span enter/exit and each
     marked instant is one timestamped record, so a trace can show which
-    chase round stalled or how pool batches interleave across domains.
+    chase round stalled and what ran inside it.
     {!Trace_export} turns a snapshot into Chrome trace-event JSON
     (Perfetto / chrome://tracing) or folded stacks for flamegraphs.
 
     Same ambient discipline as {!Telemetry}: recording is off by
-    default, every entry point reads one domain-local slot and returns
+    default, every entry point reads one module-level slot and returns
     immediately when disabled. Labels are interned once ({!label}) so
     the hot path records four machine ints and never allocates; the
     ring has fixed capacity, wrap-around overwrites the oldest events
     and counts them as {!type-snapshot}[.dropped] — memory use is
-    bounded no matter how long a traced run lasts.
-
-    The slot is domain-local: worker domains that should contribute
-    enable their own ring (the pool does this), {!snapshot} it at the
-    barrier, and the coordinator folds the frozen events into its ring
-    with {!absorb}[ ~tid], tagging them with the worker's slot index so
-    the export shows one track per domain. *)
+    bounded no matter how long a traced run lasts. *)
 
 type phase = Begin | End | Instant
 
@@ -28,24 +22,23 @@ type event = {
   phase : phase;
   label : int;  (** interned via {!label}; resolve with {!label_name} *)
   ts_us : int;  (** absolute wall clock, microseconds *)
-  tid : int;  (** track id: 0 = recording domain, >0 = absorbed worker *)
   arg : int;  (** small payload (round number, batch size); -1 = none *)
 }
 
 val label : string -> int
-(** Intern [name] to a dense id (process-global, thread-safe, stable
-    for the life of the process). Call once at module init and keep the
+(** Intern [name] to a dense id (process-global, stable for the life
+    of the process). Call once at module init and keep the
     id: recording with a pre-interned label is allocation-free. *)
 
 val label_name : int -> string
 (** Inverse of {!label}. Raises [Invalid_argument] on unknown ids. *)
 
 val enabled : unit -> bool
-(** Whether the calling domain is recording events. *)
+(** Whether events are being recorded. *)
 
 val enable : ?capacity:int -> unit -> unit
-(** Install a fresh ring of [capacity] slots (default 65536) on the
-    calling domain and start recording. Other domains are unaffected. *)
+(** Install a fresh ring of [capacity] slots (default 65536) and start
+    recording. *)
 
 val disable : unit -> unit
 
@@ -59,18 +52,12 @@ val leave : int -> unit
 (** Record the end of a slice (Chrome phase ["E"]). *)
 
 type snapshot = {
-  events : event list;  (** oldest first; per-[tid] in timestamp order *)
+  events : event list;  (** oldest first, in timestamp order *)
   dropped : int;  (** events overwritten by ring wrap-around *)
 }
 
 val snapshot : unit -> snapshot
-(** Freeze the calling domain's ring (empty snapshot when disabled). *)
-
-val absorb : tid:int -> snapshot -> unit
-(** Fold a frozen worker snapshot into the calling domain's live ring,
-    re-tagging its events with track [tid] (the worker's pool slot, so
-    track ids are stable across runs — unlike raw [Domain.id]s). The
-    worker's own drop count carries over. No-op when disabled. *)
+(** Freeze the ring (empty snapshot when disabled). *)
 
 val scrub_times : snapshot -> snapshot
 (** Zero every timestamp — deterministic snapshots for golden tests

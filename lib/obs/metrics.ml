@@ -1,7 +1,6 @@
 (* Histograms are 64 fixed int buckets (bucket = bit width of the
    value), so [observe] is a few ALU ops and one array bump — no
-   allocation, no comparison sort — and merging a worker's histogram
-   into the coordinator's is 64 adds. Percentile extraction walks the
+   allocation, no comparison sort. Percentile extraction walks the
    buckets and reports the bucket's upper bound clamped to the observed
    max: exact up to log₂ resolution, which is all a latency profile
    needs. *)
@@ -55,13 +54,6 @@ module Histo = struct
       Stdlib.min (bucket_upper !b) h.max
     end
 
-  let merge into from =
-    Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n)
-      from.buckets;
-    into.count <- into.count + from.count;
-    into.sum <- into.sum + from.sum;
-    if from.max > into.max then into.max <- from.max
-
   let copy h =
     { buckets = Array.copy h.buckets; count = h.count; sum = h.sum; max = h.max }
 
@@ -85,7 +77,7 @@ module Histo = struct
     }
 end
 
-(* -- the ambient per-domain store ---------------------------------- *)
+(* -- the ambient store ----------------------------------------------- *)
 
 type gauge = { mutable last : int; mutable gmax : int }
 
@@ -96,13 +88,10 @@ type store = {
 
 let fresh () = { histos = Hashtbl.create 16; gauges = Hashtbl.create 16 }
 
-let current : store option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let slot () = Domain.DLS.get current
-let enabled () = Option.is_some !(slot ())
-let enable () = slot () := Some (fresh ())
-let disable () = slot () := None
+let current : store option ref = ref None
+let enabled () = Option.is_some !current
+let enable () = current := Some (fresh ())
+let disable () = current := None
 
 let histo s name =
   match Hashtbl.find_opt s.histos name with
@@ -113,10 +102,10 @@ let histo s name =
       h
 
 let observe name v =
-  match !(slot ()) with None -> () | Some s -> Histo.observe (histo s name) v
+  match !current with None -> () | Some s -> Histo.observe (histo s name) v
 
 let gauge name v =
-  match !(slot ()) with
+  match !current with
   | None -> ()
   | Some s -> (
       match Hashtbl.find_opt s.gauges name with
@@ -127,14 +116,10 @@ let gauge name v =
 
 (* -- memory samplers ----------------------------------------------- *)
 
-let sampler_lock = Mutex.create ()
 let samplers : (string * (unit -> int)) list ref = ref []
 
 let register_sampler name probe =
-  Mutex.lock sampler_lock;
-  samplers := (name, probe) :: List.remove_assoc name !samplers;
-  Mutex.unlock sampler_lock;
-  ()
+  samplers := (name, probe) :: List.remove_assoc name !samplers
 
 let sample_memory () =
   if enabled () then begin
@@ -142,10 +127,7 @@ let sample_memory () =
     gauge "gc.minor_words" (int_of_float st.Gc.minor_words);
     gauge "gc.major_words" (int_of_float st.Gc.major_words);
     gauge "gc.heap_words" st.Gc.heap_words;
-    Mutex.lock sampler_lock;
-    let probes = !samplers in
-    Mutex.unlock sampler_lock;
-    List.iter (fun (name, probe) -> gauge name (probe ())) probes
+    List.iter (fun (name, probe) -> gauge name (probe ())) !samplers
   end
 
 type snapshot = {
@@ -156,7 +138,7 @@ type snapshot = {
 let by_name (a, _) (b, _) = String.compare a b
 
 let snapshot () =
-  match !(slot ()) with
+  match !current with
   | None -> { histos = []; gauges = [] }
   | Some s ->
       {
@@ -167,20 +149,6 @@ let snapshot () =
           Hashtbl.fold (fun k g acc -> (k, (g.last, g.gmax)) :: acc) s.gauges []
           |> List.sort by_name;
       }
-
-let absorb snap =
-  match !(slot ()) with
-  | None -> ()
-  | Some s ->
-      List.iter (fun (k, h) -> Histo.merge (histo s k) h) snap.histos;
-      List.iter
-        (fun (k, ((last, mx) : int * int)) ->
-          match Hashtbl.find_opt s.gauges k with
-          | Some g ->
-              if last > g.last then g.last <- last;
-              if mx > g.gmax then g.gmax <- mx
-          | None -> Hashtbl.add s.gauges k { last; gmax = mx })
-        snap.gauges
 
 (* Bucket placement of a latency is timing-dependent, so scrubbing
    collapses every histogram to [count] observations of 0 and zeroes

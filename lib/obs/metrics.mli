@@ -9,9 +9,8 @@
     [Gc.quick_stat] plus any {!register_sampler}ed process gauges
     (interned-name bytes, hash-cons occupancy) into the [memory] block.
 
-    Same ambient, domain-local, single-slot-read-when-disabled
-    discipline as {!Telemetry} and {!Events}; workers {!snapshot} and
-    the coordinator {!absorb}s (bucket counts add, gauges take max). *)
+    Same ambient, single-slot-read-when-disabled discipline as
+    {!Telemetry} and {!Events}. *)
 
 module Histo : sig
   (** A log₂-bucketed histogram over non-negative integers. Bucket [b]
@@ -39,9 +38,6 @@ module Histo : sig
   (** [percentile h p] for [p] in [1..100]: an upper bound on the value
       at rank [ceil (p/100 * count)], clamped to {!max_value} — always
       in the same log₂ bucket as the exact percentile. 0 when empty. *)
-
-  val merge : t -> t -> unit
-  (** [merge into from] adds [from]'s buckets into [into]. *)
 
   type summary = {
     count : int;
@@ -84,12 +80,7 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-(** Freeze the calling domain's store (histograms are deep copies). *)
-
-val absorb : snapshot -> unit
-(** Fold a frozen worker snapshot into the calling domain's live store:
-    histogram buckets add, gauges keep the pairwise max. No-op when
-    disabled. *)
+(** Freeze the store (histograms are deep copies). *)
 
 val scrub : snapshot -> snapshot
 (** Zero every timing-dependent field (sums, maxima, percentiles, gauge

@@ -1,16 +1,8 @@
 (* The store is a mutable span tree plus a counter table behind a
-   domain-local [current] slot. The slot doubles as the enabled flag:
+   module-level [current] slot. The slot doubles as the enabled flag:
    every recording entry point reads one slot and returns immediately
    when telemetry is off, so instrumented engine loops pay a single
-   option match per checkpoint on the disabled fast path.
-
-   Domain awareness: [current] lives in domain-local storage, so a
-   store enabled on one domain is invisible to every other — a worker
-   domain can never race the coordinator's span tree, by construction.
-   Workers that should contribute enable their own store (the pool does
-   this), snapshot it at the barrier, and the coordinator folds the
-   frozen snapshots into its live store with {!absorb}. Cross-domain
-   mutation of a shared store is impossible, not merely guarded. *)
+   option match per checkpoint on the disabled fast path. *)
 
 type node = {
   name : string;
@@ -30,16 +22,13 @@ let fresh_node name = { name; calls = 0; time_us = 0; children = [] }
 let fresh () =
   { counters = Hashtbl.create 32; root = fresh_node "root"; stack = [] }
 
-let current : store option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let slot () = Domain.DLS.get current
-let enabled () = Option.is_some !(slot ())
-let enable () = slot () := Some (fresh ())
-let disable () = slot () := None
+let current : store option ref = ref None
+let enabled () = Option.is_some !current
+let enable () = current := Some (fresh ())
+let disable () = current := None
 
 let count name n =
-  match !(slot ()) with
+  match !current with
   | None -> ()
   | Some s -> (
       match Hashtbl.find_opt s.counters name with
@@ -59,12 +48,12 @@ let find_child parent name =
 (* Spans also drive the deeper profiling layers when those are on:
    each enter/exit becomes an {!Events} timeline record, and each exit
    samples the {!Metrics} memory gauges. The disabled fast path is
-   three domain-local slot reads (one per layer) — still allocation-
-   free and branch-predictable at round/stage granularity. *)
+   three slot reads (one per layer) — allocation-free and
+   branch-predictable at round/stage granularity. *)
 let span name f =
   let ev = Events.enabled () in
   let mt = Metrics.enabled () in
-  let st = !(slot ()) in
+  let st = !current in
   if Option.is_none st && (not ev) && not mt then f ()
   else begin
     let lbl = if ev then Events.label name else 0 in
@@ -111,7 +100,7 @@ let rec freeze node =
   }
 
 let snapshot () =
-  match !(slot ()) with
+  match !current with
   | None -> { counters = []; spans = [] }
   | Some s ->
       {
@@ -120,24 +109,6 @@ let snapshot () =
           |> List.sort (fun (a, _) (b, _) -> String.compare a b);
         spans = (freeze s.root).children;
       }
-
-(* Fold a frozen worker snapshot into this domain's live store: counters
-   add up, span trees graft under the innermost open span (the round the
-   workers ran inside), matching children by name so repeated absorbs
-   accumulate like repeated [span] entries would. No-op when disabled. *)
-let absorb snap =
-  match !(slot ()) with
-  | None -> ()
-  | Some s ->
-      List.iter (fun (k, n) -> count k n) snap.counters;
-      let rec graft parent (sp : span_stats) =
-        let node = find_child parent sp.span_name in
-        node.calls <- node.calls + sp.calls;
-        node.time_us <- node.time_us + sp.time_us;
-        List.iter (graft node) sp.children
-      in
-      let parent = match s.stack with [] -> s.root | n :: _ -> n in
-      List.iter (graft parent) snap.spans
 
 let rec scrub_span sp =
   { sp with time_us = 0; children = List.map scrub_span sp.children }

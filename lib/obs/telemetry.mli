@@ -15,22 +15,16 @@
 
     The API is deliberately ambient rather than threaded: budgets
     (which change results) travel explicitly as {!Budget.t} values,
-    telemetry (which must not) stays ambient. The slot is {b
-    domain-local} ([Domain.DLS]): each domain records into its own
-    store, so worker domains never race the coordinator's span tree.
-    Parallel engines enable a store on each worker, {!snapshot} it at
-    the barrier, and fold the frozen snapshots into the coordinator's
-    store with {!absorb}. *)
+    telemetry (which must not) stays ambient in one module-level slot. *)
 
 val enabled : unit -> bool
-(** Whether the calling domain is recording. *)
+(** Whether telemetry is recording. *)
 
 val enable : unit -> unit
-(** Install a fresh, empty store on the calling domain and start
-    recording there. Other domains are unaffected. *)
+(** Install a fresh, empty store and start recording. *)
 
 val disable : unit -> unit
-(** Stop recording on the calling domain and drop its store. *)
+(** Stop recording and drop the store. *)
 
 val count : string -> int -> unit
 (** [count name n] adds [n] to counter [name]. No-op when disabled. *)
@@ -43,8 +37,8 @@ val span : string -> (unit -> 'a) -> 'a
     accumulates (calls, total time). When disabled, [span name f] is
     [f ()]. Exceptions propagate; the span is closed either way.
 
-    Spans also feed the deeper profiling layers when those are enabled
-    on the calling domain: enter/exit become {!Events} timeline records
+    Spans also feed the deeper profiling layers when those are enabled:
+    enter/exit become {!Events} timeline records
     and every exit samples the {!Metrics} memory gauges — so enabling
     [Events] alone (without telemetry) still yields a full timeline. *)
 
@@ -63,13 +57,7 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-(** Freeze the calling domain's store (empty snapshot when disabled). *)
-
-val absorb : snapshot -> unit
-(** Fold a frozen snapshot (typically from a worker domain) into the
-    calling domain's live store: counters add up, span trees graft
-    under the innermost open span, matching spans by name so repeated
-    absorbs accumulate. No-op when disabled. *)
+(** Freeze the store (empty snapshot when disabled). *)
 
 val scrub_times : snapshot -> snapshot
 (** Zero every [time_us] — deterministic snapshots for golden tests. *)

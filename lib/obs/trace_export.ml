@@ -38,8 +38,7 @@ let chrome_json (snap : Events.snapshot) =
         | Events.Instant -> "i");
       Buffer.add_string buf "\",\"ts\":";
       Buffer.add_string buf (string_of_int (e.ts_us - base));
-      Buffer.add_string buf ",\"pid\":1,\"tid\":";
-      Buffer.add_string buf (string_of_int e.tid);
+      Buffer.add_string buf ",\"pid\":1,\"tid\":0";
       (match e.phase with
       | Events.Instant -> Buffer.add_string buf ",\"s\":\"t\""
       | _ -> ());
@@ -67,51 +66,40 @@ let folded (snap : Events.snapshot) =
     | Some n -> Hashtbl.replace acc stack (n + self)
     | None -> Hashtbl.add acc stack self
   in
-  let tids =
-    List.sort_uniq compare
-      (List.map (fun (e : Events.event) -> e.tid) snap.events)
+  let stack_string stack =
+    (* [stack] is innermost-first *)
+    String.concat ";" (List.rev_map (fun f -> Events.label_name f.lbl) stack)
+  in
+  let stack = ref [] in
+  let last_ts = ref 0 in
+  let close ts =
+    match !stack with
+    | [] -> ()
+    | f :: rest ->
+        let dur = max 0 (ts - f.start) in
+        add (stack_string !stack) (dur - f.child);
+        (match rest with p :: _ -> p.child <- p.child + dur | [] -> ());
+        stack := rest
   in
   List.iter
-    (fun tid ->
-      let root = if tid = 0 then [] else [ Printf.sprintf "domain%d" tid ] in
-      let stack_string stack =
-        (* [stack] is innermost-first *)
-        String.concat ";"
-          (root @ List.rev_map (fun f -> Events.label_name f.lbl) stack)
-      in
-      let stack = ref [] in
-      let last_ts = ref 0 in
-      let close ts =
-        match !stack with
-        | [] -> ()
-        | f :: rest ->
-            let dur = max 0 (ts - f.start) in
-            add (stack_string !stack) (dur - f.child);
-            (match rest with p :: _ -> p.child <- p.child + dur | [] -> ());
-            stack := rest
-      in
-      List.iter
-        (fun (e : Events.event) ->
-          if e.tid = tid then begin
-            last_ts := max !last_ts e.ts_us;
-            match e.phase with
-            | Events.Begin ->
-                stack := { lbl = e.label; start = e.ts_us; child = 0 } :: !stack
-            | Events.End -> (
-                (* an End whose Begin was dropped by ring wrap-around
-                   has no frame to close; skip it *)
-                match !stack with
-                | f :: _ when f.lbl = e.label -> close e.ts_us
-                | _ -> ())
-            | Events.Instant -> ()
-          end)
-        snap.events;
-      (* budget stops / truncated rings leave open frames: close them
-         at the last timestamp seen on this track *)
-      while !stack <> [] do
-        close !last_ts
-      done)
-    tids;
+    (fun (e : Events.event) ->
+      last_ts := max !last_ts e.ts_us;
+      match e.phase with
+      | Events.Begin ->
+          stack := { lbl = e.label; start = e.ts_us; child = 0 } :: !stack
+      | Events.End -> (
+          (* an End whose Begin was dropped by ring wrap-around has no
+             frame to close; skip it *)
+          match !stack with
+          | f :: _ when f.lbl = e.label -> close e.ts_us
+          | _ -> ())
+      | Events.Instant -> ())
+    snap.events;
+  (* budget stops / truncated rings leave open frames: close them at the
+     last timestamp seen *)
+  while !stack <> [] do
+    close !last_ts
+  done;
   let lines = Hashtbl.fold (fun k v acc -> (k, v) :: acc) acc [] in
   let lines = List.sort (fun (a, _) (b, _) -> String.compare a b) lines in
   String.concat ""

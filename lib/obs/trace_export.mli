@@ -3,17 +3,15 @@
     {!chrome_json} emits Chrome trace-event JSON — the array-of-events
     format both [chrome://tracing] and {{:https://ui.perfetto.dev}
     Perfetto} load directly. Every event carries [pid = 1] and
-    [tid = ] the event's track id, so a pooled run shows one lane per
-    domain (tid 0 = coordinator, tid k = pool slot k — stable across
-    runs, unlike raw [Domain.id]s). Timestamps are rebased to the
-    earliest event so traces start at 0.
+    [tid = 0]: the engine is sequential, so a trace has one lane.
+    Timestamps are rebased to the earliest event so traces start at 0.
 
     {!folded} emits folded-stacks text ([stack;frames count] lines,
     one per unique stack, self-time in microseconds) — the input
     format of Brendan Gregg's [flamegraph.pl] and of speedscope.
     Instants don't contribute; unmatched begins are closed at the last
-    timestamp seen on their track (a budget-stopped run still yields a
-    well-formed flamegraph). *)
+    timestamp seen (a budget-stopped run still yields a well-formed
+    flamegraph). *)
 
 val chrome_json : Events.snapshot -> string
 (** An object [{"traceEvents": [...], "droppedEvents": n}]. Begin/End
@@ -21,5 +19,4 @@ val chrome_json : Events.snapshot -> string
     an event's [arg] (when [>= 0]) is exposed as [args.v]. *)
 
 val folded : Events.snapshot -> string
-(** Folded stacks over all tracks; frames on non-zero tracks are
-    rooted at a [domainK] frame so per-domain time stays visible. *)
+(** Folded stacks of the single track. *)

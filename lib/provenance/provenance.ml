@@ -15,18 +15,9 @@ module Atom_tbl = Hashtbl.Make (struct
 end)
 
 (* The store doubles as the enabled flag, exactly like [Telemetry]: one
-   ref read on the disabled fast path. The table itself sits behind a
-   mutex so first-writer-wins is atomic when several domains race to
-   record the same fact — the mem/add pair is one critical section, and
-   whichever domain enters first owns the entry forever. [enable] and
-   [disable] happen on the coordinator outside parallel sections, so
-   the unguarded slot read is ordered by domain spawn/join. *)
+   ref read on the disabled fast path. Recording is first-writer-wins:
+   the first derivation of a fact owns its entry forever. *)
 let current : entry Atom_tbl.t option ref = ref None
-let lock = Mutex.create ()
-
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let enabled () = Option.is_some !current
 let enable () = current := Some (Atom_tbl.create 256)
@@ -36,14 +27,13 @@ let record fact ~rule ~hom ~round ~parents =
   match !current with
   | None -> ()
   | Some tbl ->
-      with_lock @@ fun () ->
       if not (Atom_tbl.mem tbl fact) then
         Atom_tbl.add tbl fact { rule; hom; round; parents }
 
 let find fact =
   match !current with
   | None -> None
-  | Some tbl -> with_lock (fun () -> Atom_tbl.find_opt tbl fact)
+  | Some tbl -> Atom_tbl.find_opt tbl fact
 
 let facts_tracked () =
   match !current with None -> 0 | Some tbl -> Atom_tbl.length tbl

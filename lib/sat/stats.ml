@@ -1,7 +1,6 @@
 (* Process-wide SAT totals, mirroring [Nca_plan.Cache.stats]: the
    engine records after each solver round, the stats report reads the
-   aggregate. Recording happens on the coordinating domain only (the
-   SAT engine is not sharded), so plain mutable cells suffice. *)
+   aggregate. *)
 
 type totals = {
   solves : int;

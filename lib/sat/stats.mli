@@ -2,8 +2,7 @@
 
     One solver instance is created per iterative-deepening round; this
     aggregate sums their lifetime counters so the stats report (schema
-    v5's ["sat"] block) can show what the whole invocation spent.
-    Recorded on the coordinating domain only. *)
+    v5's ["sat"] block) can show what the whole invocation spent. *)
 
 type totals = {
   solves : int;  (** solver rounds run *)

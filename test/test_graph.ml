@@ -160,6 +160,35 @@ let test_ramsey_monotone () =
   check_int "one color" 4 (Ramsey.four_clique_bound ~colors:1);
   check_int "two colors" 18 (Ramsey.four_clique_bound ~colors:2)
 
+(* The values before saturation, pinned; from 12 colors on the bound
+   leaves [int] and saturates instead of wrapping negative. *)
+let test_ramsey_four_clique_values () =
+  List.iteri
+    (fun i v ->
+      check_int
+        (Printf.sprintf "%d colors" (i + 1))
+        v
+        (Ramsey.four_clique_bound ~colors:(i + 1)))
+    [ 4; 18; 254; 7006; 313412; 20615384; 1871833000; 224265648842 ];
+  let bounds =
+    List.init 30 (fun i -> Ramsey.four_clique_bound ~colors:(i + 1))
+  in
+  check "non-negative" true (List.for_all (fun b -> b >= 0) bounds);
+  check "monotone" true
+    (List.for_all2 ( <= )
+       (List.filteri (fun i _ -> i < 29) bounds)
+       (List.tl bounds));
+  List.iteri
+    (fun i b ->
+      if i + 1 >= 12 then
+        check_int (Printf.sprintf "%d colors saturate" (i + 1)) max_int b)
+    bounds
+
+let test_ramsey_many_colors_fast () =
+  let t0 = Unix.gettimeofday () in
+  check_int "2060 colors" max_int (Ramsey.four_clique_bound ~colors:2060);
+  check "under 1 s" true (Unix.gettimeofday () -. t0 < 1.0)
+
 let test_ramsey_symmetric () =
   check_int "argument order irrelevant" (Ramsey.upper_bound [ 3; 4 ])
     (Ramsey.upper_bound [ 4; 3 ])
@@ -304,6 +333,8 @@ let () =
           tc "trivial colors" test_ramsey_trivial_colors;
           tc "known values" test_ramsey_known;
           tc "monotone" test_ramsey_monotone;
+          tc "four-clique values" test_ramsey_four_clique_values;
+          tc "many colors fast" test_ramsey_many_colors_fast;
           tc "symmetric" test_ramsey_symmetric;
           tc "invalid" test_ramsey_invalid;
         ] );

@@ -418,11 +418,32 @@ let test_parse_syntax_error () =
        false
      with Parser.Error _ -> true)
 
-let test_parse_roundtrip_rule () =
-  let r = Parser.rule "E(x,y), F(y,z) -> G(z,w), P(z)" in
-  let printed = Fmt.str "%a" Rule.pp r in
-  check "pp mentions existential" true
-    (String.length printed > 0 && String.contains printed 'G')
+(* Every zoo dump — facts, then rules printed with their "∃z." head
+   prefix — parses back to the entry's facts and rules. *)
+let test_parse_zoo_roundtrip () =
+  List.iter
+    (fun (e : Nca_core.Rulesets.entry) ->
+      let prog =
+        Parser.parse_program (Fmt.str "%a" Nca_core.Rulesets.pp_entry e)
+      in
+      check (e.name ^ " facts") true (Instance.equal prog.facts e.instance);
+      check (e.name ^ " rules") true (List.equal Rule.equal prog.rules e.rules))
+    Nca_core.Rulesets.zoo
+
+let test_parse_exists_prefix_errors () =
+  let rejected input =
+    try
+      ignore (Parser.parse_program input);
+      false
+    with Parser.Error _ -> true
+  in
+  check "plain prefix accepted" false (rejected "E(x,y) -> ∃z. E(y,z).");
+  check "two variables accepted" false
+    (rejected "r: A(x) -> ∃z,w. E(x,z), E(z,w).");
+  check "body variable rejected" true (rejected "E(x,y) -> ∃y. E(y,z).");
+  check "variable missing from head rejected" true
+    (rejected "E(x,y) -> ∃w. E(y,z).");
+  check "missing dot rejected" true (rejected "E(x,y) -> ∃z E(y,z).")
 
 (* ------------------------------------------------------------------ *)
 (* Interning and hash-consing *)
@@ -866,7 +887,8 @@ let () =
           tc "nullary" test_parse_nullary;
           tc "arity error" test_parse_arity_error;
           tc "syntax error" test_parse_syntax_error;
-          tc "rule roundtrip" test_parse_roundtrip_rule;
+          tc "zoo dump roundtrip" test_parse_zoo_roundtrip;
+          tc "exists prefix errors" test_parse_exists_prefix_errors;
           tc "reserved namespace" test_parser_rejects_reserved;
         ] );
       ( "interning",

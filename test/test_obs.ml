@@ -313,7 +313,6 @@ let test_chase_counters_recorded () =
 module Events = Nca_obs.Events
 module Metrics = Nca_obs.Metrics
 module Trace_export = Nca_obs.Trace_export
-module Pool = Nca_chase.Pool
 module Json = Nca_analysis.Json
 
 let ring_cap = 16
@@ -337,8 +336,7 @@ let prop_ring_wraparound =
       && List.length snap.Events.events = kept
       && List.for_all2
            (fun (e : Events.event) i ->
-             e.arg = i && e.label = lbl && e.phase = Events.Instant
-             && e.tid = 0)
+             e.arg = i && e.label = lbl && e.phase = Events.Instant)
            snap.Events.events
            (List.init kept (fun i -> n - kept + i)))
 
@@ -416,34 +414,6 @@ let test_chrome_trace_shape () =
       check "phases are B, i, E" true (phases = [ "B"; "i"; "E" ])
   | Ok _ -> Alcotest.fail "trace JSON is not an object"
 
-(* Every pool participant emits at least one event per batch, and
-   absorbed worker events carry the worker's slot index as track id —
-   so a [--jobs n] trace has exactly the tracks 0..n-1, stable across
-   runs. *)
-let test_tids_stable_across_jobs () =
-  List.iter
-    (fun jobs ->
-      Events.enable ~capacity:1024 ();
-      Pool.with_pool ~jobs (fun p ->
-          match p with
-          | None -> Alcotest.fail "pool did not start"
-          | Some pool -> ignore (Pool.map pool 64 (fun i -> i * i)));
-      let snap = Events.snapshot () in
-      Events.disable ();
-      let tids =
-        List.sort_uniq compare
-          (List.map (fun (e : Events.event) -> e.tid) snap.Events.events)
-      in
-      check
-        (Printf.sprintf "jobs %d: one track per domain" jobs)
-        true
-        (tids = List.init jobs Fun.id);
-      check
-        (Printf.sprintf "jobs %d: nothing dropped" jobs)
-        true
-        (snap.Events.dropped = 0))
-    [ 2; 3; 4 ]
-
 (* ------------------------------------------------------------------ *)
 
 let props =
@@ -489,6 +459,5 @@ let () =
       ( "profiling",
         [
           tc "chrome trace shape" `Quick test_chrome_trace_shape;
-          tc "per-domain tids" `Quick test_tids_stable_across_jobs;
         ] );
     ]
