@@ -700,6 +700,30 @@ let rewrite_workload ~reps ~max_rounds name =
       ("after_us", Json.Int after_us);
     ]
 
+(* The specialization closure and isomorphism dedup of [Q_inj]
+   (Proposition 6) on the rewriting the Section-5 analysis computes: E(x,y)
+   under the regalized rule set. Only [Injective.of_ucq] is timed. *)
+let injective_workload ~reps name =
+  let entry = Rulesets.find name in
+  let regalized = Nca_surgery.Pipeline.regalize entry.instance entry.rules in
+  let out = Rewrite.rewrite regalized.final (Cq.atom_query entry.e) in
+  let specializations =
+    List.length
+      (List.concat_map Nca_rewriting.Injective.specializations
+         (Ucq.disjuncts out.ucq))
+  in
+  let u_inj, after_us =
+    time_us ~reps (fun () -> Nca_rewriting.Injective.of_ucq out.ucq)
+  in
+  Json.Obj
+    [
+      ("kind", Json.String "rewrite");
+      ("name", Json.String ("injective/" ^ name));
+      ("specializations", Json.Int specializations);
+      ("ucq_size", Json.Int (Ucq.size u_inj));
+      ("after_us", Json.Int after_us);
+    ]
+
 (* The termination classifier (static hierarchy + budgeted critical-
    instance chase) has no naive counterpart either; the rows pin the
    cost and the verdict so regressions in either show up in the
@@ -844,6 +868,11 @@ let run_all ~smoke ~only =
     |> List.filter (fun n -> sel ("rewrite/" ^ n))
     |> List.map (rewrite_workload ~reps ~max_rounds:(if smoke then 4 else 8))
   in
+  let injective_rows =
+    [ "example1_bdd" ]
+    |> List.filter (fun n -> sel ("rewrite/injective/" ^ n))
+    |> List.map (injective_workload ~reps)
+  in
   let classify_rows =
     [ "example1"; "example1_bdd"; "succ_only"; "guarded"; "sticky";
       "datalog_star" ]
@@ -938,7 +967,7 @@ let run_all ~smoke ~only =
       ( "workloads",
         Json.List
           (chase_rows @ datalog_rows @ hom_rows @ fm_rows @ rewrite_rows
-          @ classify_rows @ provenance_rows @ obs_rows @ intern_rows
+          @ injective_rows @ classify_rows @ provenance_rows @ obs_rows @ intern_rows
           @ plan_chase_rows @ plan_hom_rows @ plan_datalog_rows) );
     ]
 

@@ -69,87 +69,88 @@ let run ?(variant = Oblivious) ?max_depth ?max_atoms
         let t0 = if mt then Nca_obs.Events.now_us () else 0 in
         let round =
           Nca_obs.Telemetry.span "chase.round" @@ fun () ->
-          let raw = Trigger.all_delta rules ~total:current ~delta in
-          let triggers =
-            List.filter
-              (fun tr ->
-                let k =
-                  match variant with
-                  | Semi_oblivious -> Trigger.frontier_key tr
-                  | Oblivious | Restricted -> Trigger.key tr
-                in
-                if Keytbl.mem fired k then false
-                else if variant = Restricted && satisfied tr current then begin
-                  (* its head stays satisfied forever: never reconsider *)
-                  Keytbl.add fired k ();
-                  false
-                end
-                else begin
-                  Keytbl.add fired k ();
-                  true
-                end)
-              raw
-          in
-          if triggers = [] then `Saturated
-          else begin
-            (* the next delta is accumulated from the trigger outputs, so a
-               round costs O(new atoms), not a sweep of the whole instance *)
-            let (next, delta'), stamps, prov =
-              List.fold_left
-                (fun ((inst, d), stamps, prov) tr ->
-                  let out, ext = Trigger.output tr in
-                  let prov =
-                    Term.Set.fold
-                      (fun z acc ->
-                        let created = Subst.apply ext z in
-                        Term.Map.add created
-                          {
-                            rule = tr.Trigger.rule;
-                            hom = tr.Trigger.hom;
-                            extension = ext;
-                            level = level + 1;
-                          }
-                          acc)
-                      (Rule.exist_vars tr.Trigger.rule)
-                      prov
-                  in
-                  (* fact-level provenance: the stored hom is the full
-                     extension, so one substitution instantiates both the
-                     body (→ parents) and the head (→ the fact) *)
-                  let record =
-                    if Nca_provenance.Provenance.enabled () then begin
-                      let rule = tr.Trigger.rule in
-                      let parents =
-                        Subst.apply_atoms tr.Trigger.hom (Rule.body rule)
-                      in
-                      fun a ->
-                        Nca_provenance.Provenance.record a ~rule ~hom:ext
-                          ~round:(level + 1) ~parents
-                    end
-                    else fun _ -> ()
-                  in
-                  let inst, d =
-                    Instance.fold
-                      (fun a (inst, d) ->
-                        if Instance.mem a inst then (inst, d)
-                        else begin
-                          record a;
-                          (Instance.add a inst, Instance.add a d)
-                        end)
-                      out (inst, d)
-                  in
-                  ( (inst, d),
-                    stamp_terms (level + 1) (Instance.adom out) stamps,
-                    prov ))
-                ((current, Instance.empty), stamps, prov) triggers
+          (* Each trigger is filtered and merged as it is enumerated: the
+             enumeration reads only the round's snapshots ([current],
+             [delta] and their difference), creates no atom or null, and
+             [satisfied] tests [current], so streaming fires the same
+             triggers in the same order as filtering a materialised list. *)
+          let fresh tr =
+            let k =
+              match variant with
+              | Semi_oblivious -> Trigger.frontier_key tr
+              | Oblivious | Restricted -> Trigger.key tr
             in
-            (* the [List.length] walk is only worth paying when recording *)
+            if Keytbl.mem fired k then false
+            else begin
+              (* a satisfied head stays satisfied forever: never
+                 reconsider the trigger either way *)
+              Keytbl.add fired k ();
+              not (variant = Restricted && satisfied tr current)
+            end
+          in
+          (* the next delta is accumulated from the trigger outputs, so a
+             round costs O(new atoms), not a sweep of the whole instance *)
+          let merge ((inst, d), stamps, prov) tr =
+            let out, ext = Trigger.output tr in
+            let prov =
+              Term.Set.fold
+                (fun z acc ->
+                  let created = Subst.apply ext z in
+                  Term.Map.add created
+                    {
+                      rule = tr.Trigger.rule;
+                      hom = tr.Trigger.hom;
+                      extension = ext;
+                      level = level + 1;
+                    }
+                    acc)
+                (Rule.exist_vars tr.Trigger.rule)
+                prov
+            in
+            (* fact-level provenance: the stored hom is the full
+               extension, so one substitution instantiates both the
+               body (→ parents) and the head (→ the fact) *)
+            let record =
+              if Nca_provenance.Provenance.enabled () then begin
+                let rule = tr.Trigger.rule in
+                let parents =
+                  Subst.apply_atoms tr.Trigger.hom (Rule.body rule)
+                in
+                fun a ->
+                  Nca_provenance.Provenance.record a ~rule ~hom:ext
+                    ~round:(level + 1) ~parents
+              end
+              else fun _ -> ()
+            in
+            let inst, d =
+              Instance.fold
+                (fun a (inst, d) ->
+                  if Instance.mem a inst then (inst, d)
+                  else begin
+                    record a;
+                    (Instance.add a inst, Instance.add a d)
+                  end)
+                out (inst, d)
+            in
+            ( (inst, d),
+              stamp_terms (level + 1) (Instance.adom out) stamps,
+              prov )
+          in
+          let ntr = ref 0 in
+          let acc = ref ((current, Instance.empty), stamps, prov) in
+          Trigger.iter_delta rules ~total:current ~delta (fun tr ->
+              if fresh tr then begin
+                incr ntr;
+                acc := merge !acc tr
+              end);
+          if !ntr = 0 then `Saturated
+          else begin
+            let (next, delta'), stamps, prov = !acc in
             if Nca_obs.Telemetry.enabled () || Nca_obs.Metrics.enabled ()
             then begin
-              let ntr = List.length triggers in
-              Nca_obs.Telemetry.count "chase.triggers" ntr;
+              Nca_obs.Telemetry.count "chase.triggers" !ntr;
               Nca_obs.Telemetry.count "chase.atoms" (Instance.cardinal delta');
-              Nca_obs.Metrics.observe "chase.trigger_batch" ntr
+              Nca_obs.Metrics.observe "chase.trigger_batch" !ntr
             end;
             `Round (next, delta', stamps, prov)
           end

@@ -3,37 +3,37 @@ open Nca_logic
 type t = { rule : Rule.t; hom : Subst.t }
 
 module Key = struct
-  (* [rule] is the interned name id, [bindings] compare by int code:
-     key equality, comparison and hashing never touch a string. *)
-  type t = { rule : int; bindings : Term.t list }
+  (* Rules compare with [Rule.equal], so two rules that only share a name
+     stay apart. The chase hands every trigger of a rule the same physical
+     rule, so equality usually stops at [==]. *)
+  type t = { rule : Rule.t; bindings : Term.t list }
 
   let equal a b =
-    Int.equal a.rule b.rule && List.equal Term.equal a.bindings b.bindings
+    (a.rule == b.rule || Rule.equal a.rule b.rule)
+    && List.equal Term.equal a.bindings b.bindings
 
   let compare a b =
-    match Int.compare a.rule b.rule with
+    match Rule.compare a.rule b.rule with
     | 0 -> List.compare Term.compare a.bindings b.bindings
     | c -> c
 
   (* [Hashtbl.hash] stops after a few nodes, which collides badly on long
      binding lists differing only in their tail; fold the whole list. *)
   let hash k =
-    List.fold_left (fun h t -> (h * 31) + Term.hash t) k.rule k.bindings
+    List.fold_left (fun h t -> (h * 31) + Term.hash t) (Rule.hash k.rule)
+      k.bindings
 
   let pp ppf k =
-    Fmt.pf ppf "%s|%a" (Names.name k.rule)
+    Fmt.pf ppf "%s|%a" (Rule.name k.rule)
       Fmt.(list ~sep:(any "|") Term.pp)
       k.bindings
 end
 
 let make_key rule vars hom =
-  {
-    Key.rule = Names.intern (Rule.name rule);
-    bindings = List.map (Subst.apply hom) (Term.Set.elements vars);
-  }
+  { Key.rule; bindings = List.map (Subst.apply hom) vars }
 
-let key tr = make_key tr.rule (Rule.body_vars tr.rule) tr.hom
-let frontier_key tr = make_key tr.rule (Rule.frontier tr.rule) tr.hom
+let key tr = make_key tr.rule (Rule.body_var_list tr.rule) tr.hom
+let frontier_key tr = make_key tr.rule (Rule.frontier_list tr.rule) tr.hom
 
 let all rules i =
   List.concat_map
@@ -64,13 +64,15 @@ let delta_tasks rules ~total ~delta =
         body)
     rules
 
-let all_delta rules ~total ~delta =
-  let acc = ref [] in
+let iter_delta rules ~total ~delta f =
   List.iter
     (fun (rule, goals) ->
-      Nca_plan.Exec.iter_targets goals (fun hom ->
-          acc := { rule; hom } :: !acc))
-    (delta_tasks rules ~total ~delta);
+      Nca_plan.Exec.iter_targets goals (fun hom -> f { rule; hom }))
+    (delta_tasks rules ~total ~delta)
+
+let all_delta rules ~total ~delta =
+  let acc = ref [] in
+  iter_delta rules ~total ~delta (fun tr -> acc := tr :: !acc);
   List.rev !acc
 
 let output tr =
@@ -79,7 +81,7 @@ let output tr =
     List.fold_left
       (fun acc z -> Subst.add z (Term.fresh_null ()) acc)
       tr.hom
-      (Term.sorted_elements (Rule.exist_vars tr.rule))
+      (Rule.exist_vars_by_name tr.rule)
   in
   (Instance.of_list (Subst.apply_atoms ext (Rule.head tr.rule)), ext)
 

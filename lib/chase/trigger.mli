@@ -7,13 +7,14 @@ open Nca_logic
 
 type t = { rule : Rule.t; hom : Subst.t }
 
-(** Structural trigger identity: the rule's name (as an interned
-    {!Names} id) together with the ordered images of a variable set.
-    Hashable — the chase stores fired triggers in a
-    [Hashtbl.Make (Trigger.Key)] — with equality, comparison and
-    hashing all pure int arithmetic. *)
+(** Structural trigger identity: the rule ({!Rule.equal}-equal rules
+    share an identity, so rules that merely share a name do not) together
+    with the ordered images of a variable set. Hashable — the chase
+    stores fired triggers in a [Hashtbl.Make (Trigger.Key)]. Hashing uses
+    the rule's precomputed hash; equality short-cuts on a physically
+    equal rule. *)
 module Key : sig
-  type t = { rule : int; bindings : Term.t list }
+  type t = { rule : Rule.t; bindings : Term.t list }
 
   val equal : t -> t -> bool
   val compare : t -> t -> int
@@ -34,6 +35,13 @@ val all_delta : Rule.t list -> total:Instance.t -> delta:Instance.t -> t list
     {!all}, and [all total = all_delta ~total ~delta ∪ all (total ∖ delta)]
     disjointly — property-tested in the suite. *)
 
+val iter_delta :
+  Rule.t list -> total:Instance.t -> delta:Instance.t -> (t -> unit) -> unit
+(** {!all_delta} as a stream: calls [f] on each trigger, in the order of
+    {!all_delta}'s list, as it is enumerated. Enumeration reads only
+    [total], [delta] and [total ∖ delta] (taken once, before the first
+    call), so [f] may build new instances from [total] meanwhile. *)
+
 val delta_tasks :
   Rule.t list ->
   total:Instance.t ->
@@ -50,12 +58,12 @@ val output : t -> Instance.t * Subst.t
     variables identifies the created nulls. *)
 
 val key : t -> Key.t
-(** A canonical identity for the trigger (rule name + the ordered
+(** A canonical identity for the trigger (the rule + the ordered
     bindings of all body variables), used to fire each trigger exactly
     once across chase levels, as the oblivious chase requires. *)
 
 val frontier_key : t -> Key.t
-(** Semi-oblivious (Skolem) identity: rule name + the ordered bindings of
+(** Semi-oblivious (Skolem) identity: the rule + the ordered bindings of
     the frontier variables only. *)
 
 val frontier_image : t -> Term.Set.t

@@ -132,7 +132,7 @@ let with_pred p i =
   | None -> []
   | Some s -> Atom.Set.elements s
 
-let pred_cardinal p i =
+let index_cardinal p i =
   match Symbol.Map.find_opt p i.index with
   | None -> 0
   | Some s -> Atom.Set.cardinal s
@@ -163,7 +163,7 @@ let candidate_count a sub i =
   List.fold_left
     (fun best (pos, t) ->
       min best (Atom.Set.cardinal (pos_find (Pos.key p pos t) i)))
-    (pred_cardinal p i) (bound_positions a sub)
+    (index_cardinal p i) (bound_positions a sub)
 
 let posting p pos t i =
   let key = Pos.key p pos t in
@@ -186,7 +186,11 @@ let pred_array p i =
       i.pcache <- Symbol.Map.add p arr i.pcache;
       arr
 
-let pos_cardinal p pos t i = Atom.Set.cardinal (pos_find (Pos.key p pos t) i)
+(* Through the frozen arrays: a set's cardinal is a walk, and the executor
+   scores its targets on every call — the restricted chase calls it once
+   per trigger against the same instance. *)
+let pred_cardinal p i = Array.length (pred_array p i)
+let pos_cardinal p pos t i = Array.length (posting p pos t i)
 
 let candidates a sub i =
   let p = Atom.pred a in

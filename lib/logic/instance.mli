@@ -50,7 +50,9 @@ val with_pred : Symbol.t -> t -> Atom.t list
 (** All atoms over the given predicate. *)
 
 val pred_cardinal : Symbol.t -> t -> int
-(** Number of atoms over the given predicate, without materializing them. *)
+(** Number of atoms over the given predicate:
+    [Array.length (pred_array p i)], freezing the array on first use so
+    that later calls on the same instance are O(1). *)
 
 val posting : Symbol.t -> int -> Term.t -> t -> Atom.t array
 (** [posting p pos t i]: the atoms of [i] over predicate [p] carrying term
@@ -65,8 +67,8 @@ val pred_array : Symbol.t -> t -> Atom.t array
     mutate it. *)
 
 val pos_cardinal : Symbol.t -> int -> Term.t -> t -> int
-(** [pos_cardinal p pos t i = Array.length (posting p pos t i)], without
-    freezing the array. *)
+(** [pos_cardinal p pos t i = Array.length (posting p pos t i)], freezing
+    the array on first use like {!pred_cardinal}. *)
 
 val candidates : Atom.t -> Subst.t -> t -> Atom.t list
 (** [candidates a sub i]: the atoms of [i] that can possibly match the

@@ -1,4 +1,39 @@
-type t = { name : string; body : Atom.t list; head : Atom.t list }
+type t = {
+  name : string;
+  body : Atom.t list;
+  head : Atom.t list;
+  (* derived from the three fields above, once per rule *)
+  hash : int;  (* agrees on [compare]-equal rules *)
+  body_vars : Term.Set.t;
+  head_vars : Term.Set.t;
+  frontier : Term.Set.t;
+  exist_vars : Term.Set.t;
+  body_var_list : Term.t list;
+  frontier_list : Term.t list;
+  exist_vars_by_name : Term.t list;
+}
+
+let build name body head =
+  let body_vars = Atom.vars_of_list body in
+  let head_vars = Atom.vars_of_list head in
+  let frontier = Term.Set.inter body_vars head_vars in
+  let exist_vars = Term.Set.diff head_vars body_vars in
+  {
+    name;
+    body;
+    head;
+    hash =
+      List.fold_left
+        (fun h a -> (h * 31) + Atom.id a)
+        (Hashtbl.hash name) (body @ head);
+    body_vars;
+    head_vars;
+    frontier;
+    exist_vars;
+    body_var_list = Term.Set.elements body_vars;
+    frontier_list = Term.Set.elements frontier;
+    exist_vars_by_name = Term.sorted_elements exist_vars;
+  }
 
 let counter = ref 0
 
@@ -25,16 +60,20 @@ let make ?name body head =
         incr counter;
         Fmt.str "r%d" !counter
   in
-  { name; body; head }
+  build name body head
 
 let name r = r.name
 let body r = r.body
 let head r = r.head
-let body_vars r = Atom.vars_of_list r.body
-let head_vars r = Atom.vars_of_list r.head
-let frontier r = Term.Set.inter (body_vars r) (head_vars r)
-let exist_vars r = Term.Set.diff (head_vars r) (body_vars r)
-let is_datalog r = Term.Set.is_empty (exist_vars r)
+let hash r = r.hash
+let body_vars r = r.body_vars
+let head_vars r = r.head_vars
+let frontier r = r.frontier
+let exist_vars r = r.exist_vars
+let body_var_list r = r.body_var_list
+let frontier_list r = r.frontier_list
+let exist_vars_by_name r = r.exist_vars_by_name
+let is_datalog r = Term.Set.is_empty r.exist_vars
 
 let rename ?name r =
   let renaming =
@@ -43,13 +82,12 @@ let rename ?name r =
     List.fold_left
       (fun acc x -> Subst.add x (Term.fresh_var ()) acc)
       Subst.empty
-      (Term.sorted_elements (Term.Set.union (body_vars r) (head_vars r)))
+      (Term.sorted_elements (Term.Set.union r.body_vars r.head_vars))
   in
-  {
-    name = Option.value name ~default:r.name;
-    body = Subst.apply_atoms renaming r.body;
-    head = Subst.apply_atoms renaming r.head;
-  }
+  build
+    (Option.value name ~default:r.name)
+    (Subst.apply_atoms renaming r.body)
+    (Subst.apply_atoms renaming r.head)
 
 let rename_apart r = rename r
 
@@ -74,13 +112,12 @@ let compare r r' =
 let equal r r' = compare r r' = 0
 
 let pp ppf r =
-  let ev = exist_vars r in
-  if Term.Set.is_empty ev then
+  if is_datalog r then
     Fmt.pf ppf "@[<hov 2>%s: %a ->@ %a@]" r.name Atom.pp_list r.body
       Atom.pp_list r.head
   else
     Fmt.pf ppf "@[<hov 2>%s: %a ->@ ∃%a. %a@]" r.name Atom.pp_list r.body
       Fmt.(list ~sep:comma Term.pp)
-      (Term.sorted_elements ev) Atom.pp_list r.head
+      r.exist_vars_by_name Atom.pp_list r.head
 
 let pp_set ppf rules = Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp) rules

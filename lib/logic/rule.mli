@@ -4,7 +4,9 @@
     (Section 2.1). The frontier [ȳ] is the set of variables shared by body
     and head; head variables outside the body are existential. *)
 
-type t = private { name : string; body : Atom.t list; head : Atom.t list }
+type t
+(** A rule also carries its variable sets and lists, computed once by
+    {!make}: the chase reads them per trigger. *)
 
 val make : ?name:string -> Atom.t list -> Atom.t list -> t
 (** [make body head] builds a rule. Raises [Invalid_argument] when body or head is empty, or when a
@@ -23,6 +25,16 @@ val frontier : t -> Term.Set.t
 val exist_vars : t -> Term.Set.t
 (** Head variables that are not in the body. *)
 
+val body_var_list : t -> Term.t list
+(** [Term.Set.elements (body_vars r)]. *)
+
+val frontier_list : t -> Term.t list
+(** [Term.Set.elements (frontier r)]. *)
+
+val exist_vars_by_name : t -> Term.t list
+(** [Term.sorted_elements (exist_vars r)]: the existential variables in
+    name order, the order in which a trigger numbers its nulls. *)
+
 val is_datalog : t -> bool
 (** No existential variables (Section 2.1). *)
 
@@ -40,6 +52,12 @@ val split_datalog : t list -> t list * t list
     [S^DL] and [S^∃] (Section 4.4.1). *)
 
 val compare : t -> t -> int
+(** By name, then body, then head. *)
+
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** Equal on {!equal} rules; precomputed. *)
+
 val pp : t Fmt.t
 val pp_set : t list Fmt.t

@@ -8,7 +8,7 @@
 
     The disjuncts of an injective UCQ may not be minimized by plain
     subsumption: injective entailment is not monotone under homomorphisms.
-    Only isomorphic duplicates are removed. *)
+    Only duplicates up to {!iso_cq} are removed. *)
 
 open Nca_logic
 
@@ -19,7 +19,9 @@ val specializations : Cq.t -> Cq.t list
     blowup). *)
 
 val of_ucq : Ucq.t -> Ucq.t
-(** [Q_inj] as in Proposition 6, with isomorphic duplicates removed. *)
+(** [Q_inj] as in Proposition 6: every specialization of every disjunct,
+    in order, except that a specialization [q] is dropped when
+    [iso_cq q k] holds for a disjunct [k] kept before it. *)
 
 val injective_rewriting :
   ?max_rounds:int -> ?max_disjuncts:int -> ?budget:Nca_obs.Budget.t ->
@@ -28,5 +30,13 @@ val injective_rewriting :
     specialization closure. The [ucq] field of the result is [Q_inj]. *)
 
 val iso_cq : Cq.t -> Cq.t -> bool
-(** Isomorphism of CQs: a bijective renaming of variables mapping body to
-    body and answer tuple to answer tuple pointwise. *)
+(** [iso_cq q q'] holds when [q] and [q'] have the same number of body
+    atoms, of distinct body atoms, of answer positions and of variables,
+    and a homomorphism maps [q]'s body into [q']'s body and [q]'s answer
+    tuple onto [q']'s pointwise, injectively on the variables outside the
+    answer tuple (whose images are also kept off the answer images).
+
+    Every isomorphism qualifies, but the answer map need not be
+    injective, so this is weaker than isomorphism and not symmetric:
+    [iso_cq (?(x0,x1) :- E(x0,x0), E(x0,x1)) (?(x0,x0) :- E(v,x0), E(x0,x0))]
+    holds (x0 and x1 both map to x0) and the converse does not. *)

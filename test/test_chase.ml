@@ -296,6 +296,119 @@ let prop_all_delta_is_set_difference =
       in
       List.equal Trigger.Key.equal got expected)
 
+(* [iter_delta] streams what [all_delta] lists, in the same order; both
+   agree with running the pivot tasks one by one. *)
+let same_trigger (a : Trigger.t) (b : Trigger.t) =
+  Rule.equal a.rule b.rule && Subst.equal a.hom b.hom
+
+let prop_iter_delta_is_all_delta =
+  QCheck.Test.make ~name:"Trigger.iter_delta streams all_delta in order"
+    ~count:300
+    (QCheck.pair delta_instance_arb delta_instance_arb) (fun (i1, i2) ->
+      let total = Instance.union i1 i2 in
+      let delta = i2 in
+      let streamed = ref [] in
+      Trigger.iter_delta delta_rules ~total ~delta (fun tr ->
+          streamed := tr :: !streamed);
+      let streamed = List.rev !streamed in
+      let tasks =
+        List.concat_map
+          (fun (rule, goals) ->
+            let homs = ref [] in
+            Nca_plan.Exec.iter_targets goals (fun h -> homs := h :: !homs);
+            List.rev_map (fun hom -> { Trigger.rule; hom }) !homs)
+          (Trigger.delta_tasks delta_rules ~total ~delta)
+      in
+      List.equal same_trigger streamed
+        (Trigger.all_delta delta_rules ~total ~delta)
+      && List.equal same_trigger streamed tasks)
+
+(* Rules sharing a label are still different rules: each fires. *)
+let test_shared_label_keeps_both_rules () =
+  let rules = Parser.parse_rules "r: A(x) -> B(x). r: A(x) -> C(x)." in
+  let start = Parser.instance "A(a)" in
+  List.iter
+    (fun (name, variant) ->
+      let c = Chase.run ~variant ~max_depth:3 start rules in
+      check_int (name ^ ": atoms") 3 (Instance.cardinal c.Chase.instance);
+      check (name ^ ": C(a) derived") true
+        (Instance.mem (Atom.app "C" [ Term.cst "a" ]) c.Chase.instance))
+    [
+      ("oblivious", Chase.Oblivious);
+      ("semi-oblivious", Chase.Semi_oblivious);
+      ("restricted", Chase.Restricted);
+    ]
+
+(* ... while a rule stated twice is one rule: its trigger fires once. *)
+let test_repeated_rule_fires_once () =
+  let start = Parser.instance "A(a)" in
+  let atoms src =
+    Instance.cardinal
+      (Chase.run ~max_depth:3 start (Parser.parse_rules src)).Chase.instance
+  in
+  check_int "same rule twice" 2 (atoms "r: A(x) -> B(x,z). r: A(x) -> B(x,z).");
+  check_int "two labels" 3 (atoms "r1: A(x) -> B(x,z). r2: A(x) -> B(x,z).")
+
+(* The variable sets and lists a rule caches at construction are the
+   ones recomputed from its atoms, for every zoo rule and a renamed copy. *)
+let test_rule_cached_vars () =
+  let same_set = Term.Set.equal in
+  let same_list = List.equal Term.equal in
+  List.iter
+    (fun (entry : Nca_core.Rulesets.entry) ->
+      List.iter
+        (fun rule ->
+          List.iter
+            (fun r ->
+              let body = Atom.vars_of_list (Rule.body r) in
+              let head = Atom.vars_of_list (Rule.head r) in
+              let frontier = Term.Set.inter body head in
+              let exist = Term.Set.diff head body in
+              let what = Fmt.str "%s %a" entry.name Rule.pp r in
+              check (what ^ ": body vars") true (same_set body (Rule.body_vars r));
+              check (what ^ ": head vars") true (same_set head (Rule.head_vars r));
+              check (what ^ ": frontier") true
+                (same_set frontier (Rule.frontier r));
+              check (what ^ ": exist vars") true
+                (same_set exist (Rule.exist_vars r));
+              check (what ^ ": body var list") true
+                (same_list (Term.Set.elements body) (Rule.body_var_list r));
+              check (what ^ ": frontier list") true
+                (same_list (Term.Set.elements frontier) (Rule.frontier_list r));
+              check (what ^ ": exist vars by name") true
+                (same_list (Term.sorted_elements exist)
+                   (Rule.exist_vars_by_name r));
+              check (what ^ ": datalog") (Term.Set.is_empty exist)
+                (Rule.is_datalog r))
+            [ rule; Rule.rename_apart rule ])
+        entry.rules)
+    Nca_core.Rulesets.zoo
+
+(* The counts of the two benchmark chases, pinned: streaming the round
+   must fire the same triggers. *)
+let test_chase_counters_pinned () =
+  let module Telemetry = Nca_obs.Telemetry in
+  let run (entry : Nca_core.Rulesets.entry) depth =
+    Telemetry.enable ();
+    Fun.protect ~finally:Telemetry.disable @@ fun () ->
+    let c = Chase.run ~max_depth:depth entry.instance entry.rules in
+    let counter name =
+      Option.value ~default:0
+        (List.assoc_opt name (Telemetry.snapshot ()).Telemetry.counters)
+    in
+    ( Instance.cardinal c.Chase.instance,
+      counter "chase.triggers",
+      counter "chase.rounds" )
+  in
+  let pin name (atoms, triggers, rounds) got =
+    let a, t, r = got in
+    check_int (name ^ ": atoms") atoms a;
+    check_int (name ^ ": triggers") triggers t;
+    check_int (name ^ ": rounds") rounds r
+  in
+  pin "example1_bdd -d 7" (4080, 278256, 7) (run example1_bdd 7);
+  pin "example1 -d 32" (20365, 31603, 11) (run example1 32)
+
 let test_seed_with_guard () =
   let module D = Nca_chase.Datalog in
   let x = Term.var "x" and y = Term.var "y" in
@@ -365,6 +478,7 @@ let props =
       prop_chase_preserves_database;
       prop_dag_forward_existential;
       prop_all_delta_is_set_difference;
+      prop_iter_delta_is_all_delta;
       prop_offending_cycle_certificate;
     ]
 
@@ -379,6 +493,9 @@ let () =
           tc "fresh output" test_trigger_output_fresh;
           tc "key identity" test_trigger_key_identity;
           tc "frontier image" test_trigger_frontier_image;
+          tc "rules sharing a label" test_shared_label_keeps_both_rules;
+          tc "a repeated rule" test_repeated_rule_fires_once;
+          tc "cached rule variables" test_rule_cached_vars;
         ] );
       ( "chase",
         [
@@ -395,6 +512,7 @@ let () =
           tc "empty rules" test_chase_empty_rules;
           tc "timestamp multiset" test_timestamp_multiset;
           tc "e-graph" test_e_graph;
+          tc "pinned counters" test_chase_counters_pinned;
         ] );
       ( "semantics",
         [

@@ -288,6 +288,72 @@ let test_injective_rewriting_end_to_end () =
            (Parser.instance "E(a,a)") q)
        (Ucq.disjuncts out.ucq))
 
+(* [iso_cq]'s answer map need not be injective, so the relation is not
+   symmetric: here x0 and x1 both map to x0, and the body maps
+   injectively on the remaining variable. *)
+let test_iso_cq_not_symmetric () =
+  let v = Term.var in
+  let e a b = Atom.make e2 [ v a; v b ] in
+  let q = Cq.make ~answer:[ v "x0"; v "x1" ] [ e "x0" "x0"; e "x0" "x1" ] in
+  let q' = Cq.make ~answer:[ v "x0"; v "x0" ] [ e "v" "x0"; e "x0" "x0" ] in
+  check "q into q'" true (Injective.iso_cq q q');
+  check "q' into q" false (Injective.iso_cq q' q)
+
+(* The quadratic dedup [of_ucq] used to run, kept as the reference: every
+   specialization is tested against every disjunct kept so far, each test
+   rebuilding both bodies as instances. *)
+let reference_iso q q' =
+  Cq.size q = Cq.size q'
+  && List.length (Cq.answer q) = List.length (Cq.answer q')
+  && Term.Set.cardinal (Cq.vars q) = Term.Set.cardinal (Cq.vars q')
+  &&
+  let init =
+    List.fold_left2
+      (fun acc x y ->
+        match acc with
+        | None -> None
+        | Some s -> (
+            match Subst.find_opt x s with
+            | Some y' -> if Term.equal y y' then acc else None
+            | None -> Some (Subst.add x y s)))
+      (Some Subst.empty) (Cq.answer q) (Cq.answer q')
+  in
+  match init with
+  | None -> false
+  | Some init ->
+      let target = Instance.of_list (Cq.body q') in
+      Instance.cardinal (Instance.of_list (Cq.body q))
+      = Instance.cardinal target
+      && Hom.exists ~inj:true ~init (Cq.body q) target
+
+let reference_of_ucq u =
+  let rec dedup acc = function
+    | [] -> List.rev acc
+    | q :: rest ->
+        if List.exists (reference_iso q) acc then dedup acc rest
+        else dedup (q :: acc) rest
+  in
+  Ucq.make
+    (dedup [] (List.concat_map Injective.specializations (Ucq.disjuncts u)))
+
+let same_disjuncts a b =
+  List.equal (fun q q' -> Cq.compare q q' = 0) (Ucq.disjuncts a)
+    (Ucq.disjuncts b)
+
+(* [Q_⊠] as the Section-5 analysis builds it: the rewriting of E(x,y)
+   under example1_bdd's regalized rule set. *)
+let test_of_ucq_reference_example1_bdd () =
+  let entry = Nca_core.Rulesets.example1_bdd in
+  let regalized = Nca_surgery.Pipeline.regalize entry.instance entry.rules in
+  let out = Rewrite.rewrite regalized.final eq in
+  check_int "specializations" 2710
+    (List.length
+       (List.concat_map Injective.specializations (Ucq.disjuncts out.ucq)));
+  let got = Injective.of_ucq out.ucq in
+  check_int "disjuncts kept" 2060 (Ucq.size got);
+  check "same disjuncts, same order" true
+    (same_disjuncts (reference_of_ucq out.ucq) got)
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -371,9 +437,36 @@ let prop_injective_iff_plain =
       Ucq.holds i u
       = List.exists (fun s -> Cq.holds_inj i s) (Ucq.disjuncts u_inj))
 
+(* Small UCQs over E/2 and A/1 with up to four variables; answer
+   variables are drawn with repetition. *)
+let random_ucq seed =
+  let st = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let vars = List.map Term.var [ "x"; "y"; "z"; "w" ] in
+  let atom () =
+    if Random.State.int st 4 = 0 then Atom.app "A" [ pick vars ]
+    else Atom.make e2 [ pick vars; pick vars ]
+  in
+  let arity = Random.State.int st 3 in
+  let cq () =
+    let body = List.init (1 + Random.State.int st 3) (fun _ -> atom ()) in
+    let body_vars = Term.Set.elements (Atom.vars_of_list body) in
+    Cq.make ~answer:(List.init arity (fun _ -> pick body_vars)) body
+  in
+  Ucq.make (List.init (1 + Random.State.int st 3) (fun _ -> cq ()))
+
+let prop_of_ucq_matches_reference =
+  QCheck.Test.make ~name:"of_ucq = quadratic reference dedup" ~count:300
+    (QCheck.make ~print:(fun seed -> Fmt.str "%a" Ucq.pp (random_ucq seed))
+       QCheck.Gen.(int_range 0 100_000))
+    (fun seed ->
+      let u = random_ucq seed in
+      same_disjuncts (reference_of_ucq u) (Injective.of_ucq u))
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_of_ucq_matches_reference;
       prop_linear_rules_bdd;
       prop_rewriting_sound;
       prop_specializations_preserve_plain_semantics;
@@ -419,6 +512,9 @@ let () =
           tc "identity first" test_specializations_identity_first;
           tc "proposition 6" test_injective_prop6;
           tc "cq isomorphism" test_iso_cq;
+          tc "cq isomorphism is not symmetric" test_iso_cq_not_symmetric;
+          tc "of_ucq = reference on example1_bdd"
+            test_of_ucq_reference_example1_bdd;
           tc "end to end" test_injective_rewriting_end_to_end;
         ] );
       ("properties", props);
