@@ -2,10 +2,11 @@
 
    Times the indexed, delta-driven engines (Hom over the positional
    index, Chase.run over Trigger.all_delta, semi-naive Datalog) against
-   the pre-index reference implementations preserved below in [Naive]
-   (per-predicate scans, full trigger re-enumeration every round, string
-   trigger keys), and writes machine-readable BENCH_chase.json so later
-   PRs have a perf trajectory to beat.
+   the pre-index reference implementations kept in the test oracle
+   library ([Nca_oracle.Naive]: per-predicate scans, full trigger
+   re-enumeration every round, string trigger keys), and writes
+   machine-readable BENCH_chase.json so later PRs have a perf trajectory
+   to beat.
 
    Usage:
      perf.exe                 full run, writes BENCH_chase.json in the cwd
@@ -21,186 +22,12 @@
 
 open Nca_logic
 module Chase = Nca_chase.Chase
-module Trigger = Nca_chase.Trigger
 module Datalog = Nca_chase.Datalog
 module Rewrite = Nca_rewriting.Rewrite
 module Rulesets = Nca_core.Rulesets
 module Json = Nca_analysis.Json
 
-(* ------------------------------------------------------------------ *)
-(* The reference ("before") engines: the seed implementations, kept
-   verbatim so the before/after numbers stay honest across PRs. *)
-
-module Naive = struct
-  (* Seed Hom: candidates filtered by predicate only, sub-goal order by
-     number of already-bound positions. *)
-
-  let match_atom sub a b =
-    let rec go sub ss ts =
-      match (ss, ts) with
-      | [], [] -> Some sub
-      | s :: ss, t :: ts -> (
-          if not (Term.is_mappable s) then
-            if Term.equal s t then go sub ss ts else None
-          else
-            match Subst.find_opt s sub with
-            | Some u -> if Term.equal u t then go sub ss ts else None
-            | None -> go (Subst.add s t sub) ss ts)
-      | _ -> None
-    in
-    go sub (Atom.args a) (Atom.args b)
-
-  let bound_terms sub a =
-    List.fold_left
-      (fun n t ->
-        if (not (Term.is_mappable t)) || Subst.mem t sub then n + 1 else n)
-      0 (Atom.args a)
-
-  let pick sub atoms =
-    let rec go best best_score acc = function
-      | [] -> (best, List.rev acc)
-      | a :: rest ->
-          let score = bound_terms sub a in
-          if score > best_score then go a score (best :: acc) rest
-          else go best best_score (a :: acc) rest
-    in
-    match atoms with
-    | [] -> invalid_arg "Naive.pick: empty"
-    | a :: rest -> go a (bound_terms sub a) [] rest
-
-  let iter ?(init = Subst.empty) src tgt f =
-    let rec solve sub = function
-      | [] -> f sub
-      | atoms ->
-          let a, rest = pick sub atoms in
-          List.iter
-            (fun b ->
-              match match_atom sub a b with
-              | Some sub' -> solve sub' rest
-              | None -> ())
-            (Instance.with_pred (Atom.pred a) tgt)
-    in
-    solve init src
-
-  let count ?init src tgt =
-    let n = ref 0 in
-    iter ?init src tgt (fun _ -> incr n);
-    !n
-
-  let trigger_all rules i =
-    List.concat_map
-      (fun rule ->
-        let acc = ref [] in
-        iter (Rule.body rule) i (fun hom ->
-            acc := { Trigger.rule; hom } :: !acc);
-        List.rev !acc)
-      rules
-
-  (* Seed trigger identity: a formatted string per enumeration. *)
-  let trigger_key (tr : Trigger.t) =
-    let bindings =
-      Term.Set.elements (Rule.body_vars tr.rule)
-      |> List.map (fun x ->
-             Fmt.str "%a=%a" Term.pp x Term.pp (Subst.apply tr.hom x))
-    in
-    String.concat "|" (Rule.name tr.rule :: bindings)
-
-  let stamp_terms level terms stamps =
-    Term.Set.fold
-      (fun t acc ->
-        if Term.Map.mem t acc then acc else Term.Map.add t level acc)
-      terms stamps
-
-  (* Seed oblivious chase: re-enumerates every trigger over the whole
-     instance at every level, filtered through the string-key table;
-     keeps the same timestamp/provenance bookkeeping for a fair clock. *)
-  let chase ~max_depth ~max_atoms start rules =
-    let fired = Hashtbl.create 256 in
-    let rec go current levels_rev level stamps prov =
-      if level >= max_depth then finish current levels_rev ~saturated:false
-      else
-        let triggers =
-          List.filter
-            (fun tr ->
-              let k = trigger_key tr in
-              if Hashtbl.mem fired k then false
-              else begin
-                Hashtbl.add fired k ();
-                true
-              end)
-            (trigger_all rules current)
-        in
-        if triggers = [] then finish current levels_rev ~saturated:true
-        else begin
-          let next, stamps, prov =
-            List.fold_left
-              (fun (inst, stamps, prov) (tr : Trigger.t) ->
-                let out, ext = Trigger.output tr in
-                let prov =
-                  Term.Set.fold
-                    (fun z acc ->
-                      Term.Map.add (Subst.apply ext z)
-                        (tr.rule, tr.hom, ext, level + 1)
-                        acc)
-                    (Rule.exist_vars tr.rule) prov
-                in
-                ( Instance.union inst out,
-                  stamp_terms (level + 1) (Instance.adom out) stamps,
-                  prov ))
-              (current, stamps, prov) triggers
-          in
-          if Instance.cardinal next > max_atoms then
-            finish next (next :: levels_rev) ~saturated:false
-          else go next (next :: levels_rev) (level + 1) stamps prov
-        end
-    and finish instance levels_rev ~saturated =
-      (instance, List.rev levels_rev, saturated)
-    in
-    let stamps = stamp_terms 0 (Instance.adom start) Term.Map.empty in
-    go start [ start ] 0 stamps Term.Map.empty
-
-  (* Seed semi-naive Datalog: pivot seeded on the delta, the rest of the
-     body matched by predicate scan over the whole relation (duplicate
-     enumerations across pivots included), persistent accumulator. *)
-  let datalog_saturate ?(max_rounds = 10000) start rules =
-    let rec split_nth i acc = function
-      | [] -> invalid_arg "split_nth"
-      | x :: rest ->
-          if i = 0 then (x, List.rev_append acc rest)
-          else split_nth (i - 1) (x :: acc) rest
-    in
-    let rec go total delta round =
-      if Instance.is_empty delta then total
-      else if round > max_rounds then failwith "naive datalog: rounds budget"
-      else begin
-        let fresh = ref Instance.empty in
-        List.iter
-          (fun rule ->
-            let body = Rule.body rule in
-            List.iteri
-              (fun i _ ->
-                let pivot, rest = split_nth i [] body in
-                Instance.iter
-                  (fun fact ->
-                    match Datalog.seed_with pivot fact with
-                    | None -> ()
-                    | Some seed ->
-                        iter ~init:seed rest total (fun h ->
-                            List.iter
-                              (fun head_atom ->
-                                let derived = Subst.apply_atom h head_atom in
-                                if not (Instance.mem derived total) then
-                                  fresh := Instance.add derived !fresh)
-                              (Rule.head rule)))
-                  delta)
-              body)
-          rules;
-        let fresh = Instance.diff !fresh total in
-        go (Instance.union total fresh) fresh (round + 1)
-      end
-    in
-    go start start 0
-end
+module Naive = Nca_oracle.Naive
 
 (* ------------------------------------------------------------------ *)
 (* Timing *)
@@ -523,52 +350,11 @@ let obs_workload ~reps (name, full, smoke_b) ~smoke =
       ("speedup_x100", Json.Int (speedup_x100 ~before:on_us ~after:off_us));
     ]
 
-(* Planner-vs-interpreter rows: the same indexed engines (PR 2-3) run
-   once on the interpreted Hom search (Exec disabled — exactly the PR-3
-   hot path) and once on the compiled join plans, so speedup_x100 is the
-   planner's own contribution on top of indexing/interning. Both sides
-   cross-check; enumeration is order-identical on these rule sets, so the
-   checks are exact. *)
-let with_planner on f =
-  Nca_plan.Exec.set_enabled on;
-  Fun.protect ~finally:(fun () -> Nca_plan.Exec.set_enabled true) f
-
-let plan_chase_workload ~reps (name, full, smoke_b) ~smoke =
-  let b = if smoke then smoke_b else full in
-  let entry = Rulesets.find name in
-  let run on () =
-    with_planner on (fun () ->
-        Chase.run ~max_depth:b.depth ~max_atoms:b.atoms entry.instance
-          entry.rules)
-  in
-  Gc.compact ();
-  let h, before_us = time_us ~reps (run false) in
-  Gc.compact ();
-  let c, after_us = time_us ~reps (run true) in
-  let workload = "plan/chase/" ^ name in
-  check_eq ~workload "atoms" (Instance.cardinal h.Chase.instance)
-    (Instance.cardinal c.Chase.instance);
-  check_eq ~workload "levels" (List.length h.Chase.levels)
-    (List.length c.Chase.levels);
-  check_eq ~workload "saturated" (Bool.to_int h.Chase.saturated)
-    (Bool.to_int c.Chase.saturated);
-  Json.Obj
-    [
-      ("kind", Json.String "plan");
-      ("name", Json.String ("chase/" ^ name));
-      ("max_depth", Json.Int b.depth);
-      ("max_atoms", Json.Int b.atoms);
-      ("atoms", Json.Int (Instance.cardinal c.Chase.instance));
-      ("before_us", Json.Int before_us);
-      ("after_us", Json.Int after_us);
-      ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
-      ("counters", counters_of (run true));
-    ]
-
-(* The pure hom-search half of the same comparison: enumerate every
-   trigger of the rule set over its chase fixpoint (trigger enumeration
-   IS the hom search — no instance construction, no key table), once
-   interpreted and once compiled. *)
+(* Planner-vs-interpreter rows: enumerate every trigger of the rule set
+   over its chase fixpoint (trigger enumeration IS the hom search — no
+   instance construction, no key table), once on the interpreted oracle
+   search and once on the compiled [Hom], so speedup_x100 is the
+   planner's own contribution on top of indexing/interning. *)
 let plan_hom_workload ~reps (name, full, smoke_b) ~smoke =
   let b = if smoke then smoke_b else full in
   let entry = Rulesets.find name in
@@ -577,14 +363,17 @@ let plan_hom_workload ~reps (name, full, smoke_b) ~smoke =
        entry.rules)
       .Chase.instance
   in
-  let run on () =
-    with_planner on (fun () ->
-        List.length (Trigger.all entry.rules fixpoint))
+  let triggers count () =
+    List.fold_left
+      (fun n r -> n + count (Rule.body r) fixpoint)
+      0 entry.rules
   in
   Gc.compact ();
-  let n_h, before_us = time_us ~reps (run false) in
+  let n_h, before_us =
+    time_us ~reps (triggers (fun src tgt -> Nca_oracle.Hom.count src tgt))
+  in
   Gc.compact ();
-  let n_c, after_us = time_us ~reps (run true) in
+  let n_c, after_us = time_us ~reps (triggers (fun src tgt -> Hom.count src tgt)) in
   check_eq ~workload:("plan/hom/" ^ name) "triggers" n_h n_c;
   Json.Obj
     [
@@ -592,32 +381,6 @@ let plan_hom_workload ~reps (name, full, smoke_b) ~smoke =
       ("name", Json.String ("hom/" ^ name));
       ("target_atoms", Json.Int (Instance.cardinal fixpoint));
       ("triggers", Json.Int n_c);
-      ("before_us", Json.Int before_us);
-      ("after_us", Json.Int after_us);
-      ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
-    ]
-
-let plan_datalog_workload ~reps (name, instance, rules_src, smoke_scale) ~smoke
-    =
-  let instance = if smoke then smoke_scale instance else instance in
-  let rules = Parser.parse_rules rules_src in
-  let run on () = with_planner on (fun () -> Datalog.closure instance rules) in
-  Gc.compact ();
-  let h, before_us = time_us ~reps (run false) in
-  Gc.compact ();
-  let c, after_us = time_us ~reps (run true) in
-  let workload = "plan/datalog/" ^ name in
-  check_eq ~workload "closure" (Instance.cardinal h) (Instance.cardinal c);
-  if not (Instance.equal h c) then begin
-    Fmt.epr "MISMATCH %s: closures differ@." workload;
-    incr failures
-  end;
-  Json.Obj
-    [
-      ("kind", Json.String "plan");
-      ("name", Json.String ("datalog/" ^ name));
-      ("db_atoms", Json.Int (Instance.cardinal instance));
-      ("closure_atoms", Json.Int (Instance.cardinal c));
       ("before_us", Json.Int before_us);
       ("after_us", Json.Int after_us);
       ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
@@ -915,11 +678,6 @@ let run_all ~smoke ~only =
       ]
     else []
   in
-  let plan_chase_rows =
-    chase_workloads
-    |> List.filter (fun (n, _, _) -> sel ("plan/chase/" ^ n))
-    |> List.map (fun w -> plan_chase_workload ~reps w ~smoke)
-  in
   let plan_hom_rows =
     chase_workloads
     |> List.filter (fun (n, _, _) ->
@@ -927,11 +685,6 @@ let run_all ~smoke ~only =
                         "all_pairs" ])
     |> List.filter (fun (n, _, _) -> sel ("plan/hom/" ^ n))
     |> List.map (fun w -> plan_hom_workload ~reps w ~smoke)
-  in
-  let plan_datalog_rows =
-    datalog_workloads
-    |> List.filter (fun (n, _, _, _) -> sel ("plan/datalog/" ^ n))
-    |> List.map (fun w -> plan_datalog_workload ~reps w ~smoke)
   in
   Json.Obj
     [
@@ -953,11 +706,10 @@ let run_all ~smoke ~only =
            and forbidding an E-loop; an exhausted dfs_verdict next to a \
            definitive sat_verdict means the SAT engine settled a budget \
            the DFS could not finish. \
-           plan rows: before = interpreted fewest-candidates-first Hom \
-           search (planner disabled), after = compiled join plans with \
-           leapfrog intersection, on otherwise identical engines; \
-           plan/hom rows time trigger enumeration alone over the chase \
-           fixpoint. obs rows: before = chase with every profiling layer \
+           plan rows: trigger enumeration alone over the chase fixpoint, \
+           before = interpreted fewest-candidates-first search (the test \
+           oracle), after = compiled join plans with leapfrog \
+           intersection. obs rows: before = chase with every profiling layer \
            recording (telemetry + metrics + event ring), after = all \
            off, so speedup_x100 is the recording overhead (100 = free). \
            v2 adds the host block (cores, ocaml_version, os_type, git \
@@ -968,7 +720,7 @@ let run_all ~smoke ~only =
         Json.List
           (chase_rows @ datalog_rows @ hom_rows @ fm_rows @ rewrite_rows
           @ injective_rows @ classify_rows @ provenance_rows @ obs_rows @ intern_rows
-          @ plan_chase_rows @ plan_hom_rows @ plan_datalog_rows) );
+          @ plan_hom_rows) );
     ]
 
 let summarize doc =

@@ -19,10 +19,12 @@ let provenance_json () =
     ]
 
 let plan_json () =
-  let plans, hits, misses = Nca_plan.Cache.stats () in
+  let plans, hits, misses = Nca_logic.Cache.stats () in
   Json.Obj
     [
-      ("enabled", Json.Bool (Nca_plan.Exec.enabled ()));
+      (* a constant since the planner became the only engine; kept so
+         the v6 shape stays byte-identical until stats v7 drops it *)
+      ("enabled", Json.Bool true);
       ("plans", Json.Int plans);
       ("cache_hits", Json.Int hits);
       ("cache_misses", Json.Int misses);

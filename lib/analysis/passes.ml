@@ -601,6 +601,30 @@ let termination_certified (p : Parser.program) =
     | _ -> []
 
 (* ------------------------------------------------------------------ *)
+(* NCA019 — duplicate rule labels *)
+
+(* Two rules sharing a label are still two rules — both fire — but every
+   report that names rules by label (explain's "by r", plans, the other
+   passes) can no longer tell them apart. One warning per later use. *)
+let duplicate_labels p =
+  let rules = indexed_rules p in
+  List.filter_map
+    (fun (i, r) ->
+      let name = Rule.name r in
+      List.find_opt
+        (fun (j, r') -> j < i && String.equal (Rule.name r') name)
+        rules
+      |> Option.map (fun (i0, _) ->
+             D.make ~code:"NCA019" ~severity:D.Warning ~location:(rule_site i r)
+               ~certificate:(Fmt.str "first labelled %s: rule #%d" name i0)
+               ~hint:"rename one of the rules"
+               (Fmt.str
+                  "label %s is already used by rule #%d — derivations and \
+                   diagnostics naming %s are ambiguous"
+                  name i0 name)))
+    rules
+
+(* ------------------------------------------------------------------ *)
 (* registry *)
 
 let registry =
@@ -700,6 +724,12 @@ let registry =
       slug = "termination";
       doc = "strongest termination criterion certified, with certificate";
       run = termination_certified;
+    };
+    {
+      code = "NCA019";
+      slug = "duplicate-label";
+      doc = "rule label already used by an earlier rule";
+      run = duplicate_labels;
     };
   ]
 

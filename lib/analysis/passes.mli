@@ -22,6 +22,7 @@
     - [NCA016] MFA over the critical instance (cyclic term / exhausted)
     - [NCA017] provable non-termination, with a pumping witness
     - [NCA018] termination certified, naming the strongest criterion
+    - [NCA019] duplicate rule labels
 
     [NCA014]–[NCA018] all consult {!Termination.classify_cached}, so
     the budgeted critical-instance chase runs once per lint invocation.

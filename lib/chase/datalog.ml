@@ -64,7 +64,7 @@ let round ?(round_no = 0) rules ~total ~delta =
     (fun (rule, goals) ->
       let body = Rule.body rule in
       let head = Rule.head rule in
-      Nca_plan.Exec.iter_targets goals (fun h ->
+      Hom.iter_targets goals (fun h ->
           List.iter
             (fun head_atom ->
               let derived = Subst.apply_atom h head_atom in

@@ -3,7 +3,7 @@
     A model emitted by any {!Finite_model.engine} — in particular one
     decoded from a SAT assignment — is only as trustworthy as the
     encoder and solver that produced it. This checker replays the
-    claim with the interpreted machinery only (trigger enumeration over
+    claim with the generic machinery only (trigger enumeration over
     {!Nca_logic.Hom} and query satisfaction over {!Nca_logic.Cq}),
     sharing no code with the grounding or the solver: the PR-5
     certificate discipline applied to model witnesses. The CLI runs it

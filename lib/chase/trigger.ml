@@ -38,7 +38,7 @@ let frontier_key tr = make_key tr.rule (Rule.frontier_list tr.rule) tr.hom
 let all rules i =
   List.concat_map
     (fun rule ->
-      List.map (fun hom -> { rule; hom }) (Nca_plan.Exec.all (Rule.body rule) i))
+      List.map (fun hom -> { rule; hom }) (Hom.all (Rule.body rule) i))
     rules
 
 (* Semi-naive enumeration: a homomorphism into [total] uses a delta atom
@@ -67,7 +67,7 @@ let delta_tasks rules ~total ~delta =
 let iter_delta rules ~total ~delta f =
   List.iter
     (fun (rule, goals) ->
-      Nca_plan.Exec.iter_targets goals (fun hom -> f { rule; hom }))
+      Hom.iter_targets goals (fun hom -> f { rule; hom }))
     (delta_tasks rules ~total ~delta)
 
 let all_delta rules ~total ~delta =

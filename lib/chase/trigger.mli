@@ -49,7 +49,7 @@ val delta_tasks :
   (Rule.t * (Atom.t * Instance.t) list) list
 (** The pivot decomposition behind {!all_delta}: one [(rule, goals)]
     unit per (rule, pivot) pair, each body atom paired with the instance
-    it ranges over — for {!Nca_plan.Exec.iter_targets}. *)
+    it ranges over — for {!Nca_logic.Hom.iter_targets}. *)
 
 val output : t -> Instance.t * Subst.t
 (** The output of the trigger: [h'(head ρ)] where [h'] extends [h] by

@@ -51,24 +51,11 @@ let analyze ?(depth = 6) ?max_rounds ?max_disjuncts
 
 let edges t = Instance.edges t.e t.full
 
-let init_for q s tt =
-  match Cq.answer q with
-  | [ x; y ] ->
-      if Term.equal x y then
-        if Term.equal s tt then Some (Subst.singleton x s) else None
-      else Some (Subst.add y tt (Subst.singleton x s))
-  | _ -> None
-
 let witnesses t s tt =
   List.filter_map
     (fun q ->
-      match init_for q s tt with
-      | None -> None
-      | Some init ->
-          Option.map
-            (fun h -> (q, h))
-            (Hom.find ~inj:true ~init (Cq.body q)
-               t.chase_ex.Nca_chase.Chase.instance))
+      let inst = t.chase_ex.Nca_chase.Chase.instance in
+      Option.map (fun h -> (q, h)) (Cq.find ~tuple:[ s; tt ] ~inj:true inst q))
     (Ucq.disjuncts t.rewriting)
 
 type removal_step = {
@@ -99,13 +86,7 @@ let peak_of q =
 
 let remove_peaks t s tt (q0, h0) =
   let find_witness inst =
-    List.find_map
-      (fun q ->
-        match init_for q s tt with
-        | None -> None
-        | Some init ->
-            Option.map (fun h -> (q, h)) (Hom.find ~inj:true ~init (Cq.body q) inst))
-      (Ucq.disjuncts t.rewriting)
+    Ucq.witness ~tuple:[ s; tt ] ~inj:true inst t.rewriting
   in
   let rec go (q, h) acc =
     let img = image_instance q h in

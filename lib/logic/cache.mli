@@ -2,14 +2,12 @@
 
     Plans are compiled once per body and reused across every chase round,
     saturation stratum and containment check of the process — the cache
-    seam a future serve mode reuses. The key is the list of hash-consed
-    atom ids of the body: atom ids are globally unique and stable for the
+    seam a future serve mode reuses. The key is the body's list of
+    hash-consed atoms: atoms are globally unique and stable for the
     lifetime of the process, so two physically different rule values with
     the same interned body share one plan (this subsumes keying on
-    interned rule ids — the body ids {e are} the interned identity of the
-    join). *)
-
-open Nca_logic
+    interned rule ids — the body atoms {e are} the interned identity of
+    the join). *)
 
 val find_or_compile : ?stats:Instance.t -> Atom.t list -> Plan.t
 (** Look the body up, compiling (under a [plan.compile] telemetry span)

@@ -41,31 +41,24 @@ let rename_apart ?(avoid = Term.Set.empty) q =
   in
   apply renaming q
 
-let init_of_tuple q tuple =
-  match tuple with
-  | None -> Some Subst.empty
-  | Some tuple ->
-      if List.length tuple <> List.length q.answer then None
-      else
-        List.fold_left2
-          (fun acc x t ->
-            match acc with
-            | None -> None
-            | Some s -> (
-                match Subst.find_opt x s with
-                | Some u -> if Term.equal u t then acc else None
-                | None -> Some (Subst.add x t s)))
-          (Some Subst.empty) q.answer tuple
+let align q tuple =
+  let rec go s xs ts =
+    match (xs, ts) with
+    | [], [] -> Some s
+    | x :: xs, t :: ts -> (
+        match Subst.find_opt x s with
+        | Some u -> if Term.equal u t then go s xs ts else None
+        | None -> go (Subst.add x t s) xs ts)
+    | _ -> None
+  in
+  go Subst.empty q.answer tuple
 
-let holds ?tuple i q =
-  match init_of_tuple q tuple with
-  | None -> false
-  | Some init -> Hom.exists ~init q.body i
+let find ?tuple ~inj i q =
+  let init = Option.fold ~none:(Some Subst.empty) ~some:(align q) tuple in
+  Option.bind init (fun init -> Hom.find ~inj ~init q.body i)
 
-let holds_inj ?tuple i q =
-  match init_of_tuple q tuple with
-  | None -> false
-  | Some init -> Hom.exists ~inj:true ~init q.body i
+let holds ?tuple i q = Option.is_some (find ?tuple ~inj:false i q)
+let holds_inj ?tuple i q = Option.is_some (find ?tuple ~inj:true i q)
 
 let answers i q =
   let seen = Hashtbl.create 16 in
@@ -79,20 +72,8 @@ let answers i q =
   List.rev !acc
 
 let subsumes q q' =
-  List.length q.answer = List.length q'.answer
-  &&
-  match
-    List.fold_left2
-      (fun acc x t ->
-        match acc with
-        | None -> None
-        | Some s -> (
-            match Subst.find_opt x s with
-            | Some u -> if Term.equal u t then acc else None
-            | None -> Some (Subst.add x t s)))
-      (Some Subst.empty) q.answer q'.answer
-  with
-  | None -> None |> Option.is_some
+  match align q q'.answer with
+  | None -> false
   | Some init -> Hom.exists ~init q.body (Instance.of_list q'.body)
 
 let equivalent q q' = subsumes q q' && subsumes q' q

@@ -32,6 +32,15 @@ val rename_apart : ?avoid:Term.Set.t -> t -> t
 (** Fresh-rename every variable (answer variables included); the fresh
     variables avoid [avoid]. *)
 
+val align : t -> Term.t list -> Subst.t option
+(** [align q tuple] maps [q]'s answer tuple pointwise onto [tuple]: the
+    substitution, or [None] when the lengths differ or a repeated answer
+    variable would need two images. The map need not be injective. *)
+
+val find : ?tuple:Term.t list -> inj:bool -> Instance.t -> t -> Subst.t option
+(** A homomorphism (injective under [inj]) from the body to the instance
+    extending [align q tuple]; without [tuple], any homomorphism. *)
+
 val holds : ?tuple:Term.t list -> Instance.t -> t -> bool
 (** [holds ~tuple i q] is [i ⊨ q(tuple)]: a homomorphism from the body to
     [i] mapping the answer tuple to [tuple]. Without [tuple], plain

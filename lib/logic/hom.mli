@@ -2,17 +2,16 @@
 
     A homomorphism from a set of atoms [A] to an instance [B] is a
     substitution [π] with [π(A) ⊆ B] (Section 2.1). Constants are rigid;
-    variables and nulls may be mapped. The search is a backtracking
-    constraint solver over the per-predicate index of the target.
+    variables and nulls may be mapped. When [inj] is set, the
+    homomorphism is additionally required to be injective on the mappable
+    terms of the source (the paper's [⊨_inj], Section 2.1).
 
-    When [inj] is set, the homomorphism is additionally required to be
-    injective on the mappable terms of the source (used for the paper's
-    [⊨_inj], Section 2.1).
-
-    The solver expands sub-goals fewest-candidates-first, where candidate
-    sets come from the target's positional index
-    ({!Instance.candidates}): once any position of a body atom is bound,
-    only the atoms agreeing with that binding are scanned. *)
+    The search runs the body's compiled {!Plan} (memoised by {!Cache}, so
+    each body is compiled once per process) as a register machine over
+    the target's sorted posting arrays. The root goal is chosen at call
+    time, fewest candidates first; a root with no candidate ends the call
+    at once. Candidates are merged in ascending atom-id order by leapfrog
+    intersection of the postings of every fixed position. *)
 
 val iter :
   ?inj:bool ->
@@ -23,7 +22,8 @@ val iter :
   unit
 (** [iter ~inj ~init src tgt f] calls [f] on every homomorphism from [src]
     to [tgt] extending [init]. Each reported substitution binds exactly the
-    mappable terms of [src] (plus the bindings of [init]). *)
+    mappable terms of [src] (plus the bindings of [init]). Under [inj] the
+    images of [init] count as used. *)
 
 val iter_targets :
   ?init:Subst.t -> (Atom.t * Instance.t) list -> (Subst.t -> unit) -> unit
@@ -36,14 +36,7 @@ val iter_targets :
 val find : ?inj:bool -> ?init:Subst.t -> Atom.t list -> Instance.t -> Subst.t option
 val exists : ?inj:bool -> ?init:Subst.t -> Atom.t list -> Instance.t -> bool
 val all : ?inj:bool -> ?init:Subst.t -> Atom.t list -> Instance.t -> Subst.t list
-
 val count : ?inj:bool -> ?init:Subst.t -> Atom.t list -> Instance.t -> int
-
-val maps_into : Instance.t -> Instance.t -> bool
-(** [maps_into a b] holds when there is a homomorphism from [a] to [b]. *)
-
-val hom_equiv : Instance.t -> Instance.t -> bool
-(** Homomorphic equivalence [a ↔ b]: homomorphisms both ways. *)
 
 val isomorphic : Instance.t -> Instance.t -> bool
 (** Existence of a bijective homomorphism whose inverse is a homomorphism.

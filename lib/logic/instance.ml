@@ -19,11 +19,43 @@ end
 
 module Pos_map = Map.Make (Pos)
 
+(* An index entry: the atoms sharing a key and how many there are, so
+   the search's root scoring reads a cardinal without walking the set or
+   freezing it. A lone atom — most positional keys — is stored bare. *)
+type bucket = One of Atom.t | Many of { set : Atom.Set.t; card : int }
+
+(* [add]/[remove] only add an atom the instance lacks and only remove
+   one it has, so the counts stay exact. *)
+let bucket_add a = function
+  | None -> Some (One a)
+  | Some (One b) ->
+      Some (Many { set = Atom.Set.add a (Atom.Set.singleton b); card = 2 })
+  | Some (Many m) ->
+      Some (Many { set = Atom.Set.add a m.set; card = m.card + 1 })
+
+let bucket_remove a = function
+  | None | Some (One _) -> None
+  | Some (Many { set; card }) ->
+      let set = Atom.Set.remove a set in
+      if card = 2 then Some (One (Atom.Set.choose set))
+      else Some (Many { set; card = card - 1 })
+
+let bucket_card = function
+  | None -> 0
+  | Some (One _) -> 1
+  | Some (Many m) -> m.card
+
+(* ascending id order, the order of [Atom.Set.elements] *)
+let bucket_array = function
+  | None -> [||]
+  | Some (One a) -> [| a |]
+  | Some (Many m) -> Array.of_list (Atom.Set.elements m.set)
+
 type t = {
   atoms : Atom.Set.t;
   size : int;
-  index : Atom.Set.t Symbol.Map.t;
-  pos : Atom.Set.t Pos_map.t;
+  index : bucket Symbol.Map.t;
+  pos : bucket Pos_map.t;
   (* Frozen posting arrays, filled on demand by {!posting} and
      {!pred_array}. Each array is derived from the immutable [pos]/[index]
      maps of this very record, so memoizing it here never changes the
@@ -57,20 +89,10 @@ let add a i =
     {
       atoms = Atom.Set.add a i.atoms;
       size = i.size + 1;
-      index =
-        Symbol.Map.update (Atom.pred a)
-          (function
-            | None -> Some (Atom.Set.singleton a)
-            | Some s -> Some (Atom.Set.add a s))
-          i.index;
+      index = Symbol.Map.update (Atom.pred a) (bucket_add a) i.index;
       pos =
         update_pos
-          (fun key pos ->
-            Pos_map.update key
-              (function
-                | None -> Some (Atom.Set.singleton a)
-                | Some s -> Some (Atom.Set.add a s))
-              pos)
+          (fun key pos -> Pos_map.update key (bucket_add a) pos)
           a i.pos;
       acache = Pos_map.empty;
       pcache = Symbol.Map.empty;
@@ -82,24 +104,10 @@ let remove a i =
     {
       atoms = Atom.Set.remove a i.atoms;
       size = i.size - 1;
-      index =
-        Symbol.Map.update (Atom.pred a)
-          (function
-            | None -> None
-            | Some s ->
-                let s = Atom.Set.remove a s in
-                if Atom.Set.is_empty s then None else Some s)
-          i.index;
+      index = Symbol.Map.update (Atom.pred a) (bucket_remove a) i.index;
       pos =
         update_pos
-          (fun key pos ->
-            Pos_map.update key
-              (function
-                | None -> None
-                | Some s ->
-                    let s = Atom.Set.remove a s in
-                    if Atom.Set.is_empty s then None else Some s)
-              pos)
+          (fun key pos -> Pos_map.update key (bucket_remove a) pos)
           a i.pos;
       acache = Pos_map.empty;
       pcache = Symbol.Map.empty;
@@ -130,47 +138,15 @@ let adom i =
 let with_pred p i =
   match Symbol.Map.find_opt p i.index with
   | None -> []
-  | Some s -> Atom.Set.elements s
-
-let index_cardinal p i =
-  match Symbol.Map.find_opt p i.index with
-  | None -> 0
-  | Some s -> Atom.Set.cardinal s
-
-(* The positions of [a] that are fixed under [sub]: constants are rigid,
-   and a mappable term already bound by [sub] is fixed to its image. *)
-let bound_positions a sub =
-  let _, acc =
-    List.fold_left
-      (fun (i, acc) t ->
-        let fixed =
-          if Term.is_mappable t then Subst.find_opt t sub else Some t
-        in
-        match fixed with
-        | Some u -> (i + 1, (i, u) :: acc)
-        | None -> (i + 1, acc))
-      (0, []) (Atom.args a)
-  in
-  acc
-
-let pos_find key i =
-  match Pos_map.find_opt key i.pos with
-  | None -> Atom.Set.empty
-  | Some s -> s
-
-let candidate_count a sub i =
-  let p = Atom.pred a in
-  List.fold_left
-    (fun best (pos, t) ->
-      min best (Atom.Set.cardinal (pos_find (Pos.key p pos t) i)))
-    (index_cardinal p i) (bound_positions a sub)
+  | Some (One a) -> [ a ]
+  | Some (Many m) -> Atom.Set.elements m.set
 
 let posting p pos t i =
   let key = Pos.key p pos t in
   match Pos_map.find_opt key i.acache with
   | Some arr -> arr
   | None ->
-      let arr = Array.of_list (Atom.Set.elements (pos_find key i)) in
+      let arr = bucket_array (Pos_map.find_opt key i.pos) in
       i.acache <- Pos_map.add key arr i.acache;
       arr
 
@@ -178,38 +154,14 @@ let pred_array p i =
   match Symbol.Map.find_opt p i.pcache with
   | Some arr -> arr
   | None ->
-      let arr =
-        match Symbol.Map.find_opt p i.index with
-        | None -> [||]
-        | Some s -> Array.of_list (Atom.Set.elements s)
-      in
+      let arr = bucket_array (Symbol.Map.find_opt p i.index) in
       i.pcache <- Symbol.Map.add p arr i.pcache;
       arr
 
-(* Through the frozen arrays: a set's cardinal is a walk, and the executor
-   scores its targets on every call — the restricted chase calls it once
-   per trigger against the same instance. *)
-let pred_cardinal p i = Array.length (pred_array p i)
-let pos_cardinal p pos t i = Array.length (posting p pos t i)
+let pred_cardinal p i = bucket_card (Symbol.Map.find_opt p i.index)
 
-let candidates a sub i =
-  let p = Atom.pred a in
-  match bound_positions a sub with
-  | [] -> with_pred p i
-  | (pos0, t0) :: rest ->
-      (* intersect the indexed sets, seeded from the first bound position;
-         the intersection stays a superset of the true matches (repeated
-         variables are only checked by the matcher), but every bound
-         position cuts the scan down to atoms agreeing with it. *)
-      let start = pos_find (Pos.key p pos0 t0) i in
-      let set =
-        List.fold_left
-          (fun acc (pos, t) ->
-            if Atom.Set.is_empty acc then acc
-            else Atom.Set.inter acc (pos_find (Pos.key p pos t) i))
-          start rest
-      in
-      Atom.Set.elements set
+let pos_cardinal p pos t i =
+  bucket_card (Pos_map.find_opt (Pos.key p pos t) i.pos)
 
 let signature i =
   Symbol.Map.fold (fun p _ acc -> Symbol.Set.add p acc) i.index

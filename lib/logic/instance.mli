@@ -50,9 +50,9 @@ val with_pred : Symbol.t -> t -> Atom.t list
 (** All atoms over the given predicate. *)
 
 val pred_cardinal : Symbol.t -> t -> int
-(** Number of atoms over the given predicate:
-    [Array.length (pred_array p i)], freezing the array on first use so
-    that later calls on the same instance are O(1). *)
+(** Number of atoms over the given predicate,
+    [= Array.length (pred_array p i)]: one index lookup, freezing
+    nothing. *)
 
 val posting : Symbol.t -> int -> Term.t -> t -> Atom.t array
 (** [posting p pos t i]: the atoms of [i] over predicate [p] carrying term
@@ -67,22 +67,8 @@ val pred_array : Symbol.t -> t -> Atom.t array
     mutate it. *)
 
 val pos_cardinal : Symbol.t -> int -> Term.t -> t -> int
-(** [pos_cardinal p pos t i = Array.length (posting p pos t i)], freezing
-    the array on first use like {!pred_cardinal}. *)
-
-val candidates : Atom.t -> Subst.t -> t -> Atom.t list
-(** [candidates a sub i]: the atoms of [i] that can possibly match the
-    pattern [a] under the partial binding [sub], computed by intersecting
-    the positional index [(pred, position, term)] over the positions of
-    [a] that [sub] (or a constant) already fixes. A superset of the true
-    matches — repeated unbound variables are left to the matcher — but
-    never larger than {!with_pred}, and usually far smaller once one
-    position is bound. *)
-
-val candidate_count : Atom.t -> Subst.t -> t -> int
-(** Cheap upper bound on [List.length (candidates a sub i)]: the smallest
-    indexed set over the bound positions (no intersection is computed).
-    Used by the search to order sub-goals most-constrained-first. *)
+(** [pos_cardinal p pos t i = Array.length (posting p pos t i)]: one
+    index lookup, freezing nothing. *)
 
 val signature : t -> Symbol.Set.t
 val restrict : Symbol.Set.t -> t -> t

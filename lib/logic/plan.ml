@@ -1,32 +1,26 @@
-open Nca_logic
-
 type arg = Const of Term.t | Slot of int
+
+type schedule = {
+  order : int array;
+  fixed : bool array array;
+  probe : int array array;
+}
 
 type t = {
   body : Atom.t array;
   preds : Symbol.t array;
   args : arg array array;
   slot_terms : Term.t array;
-  variants : int array array;
+  cards : int array;
+  schedules : (bool array * schedule) list array;
 }
 
 let nslots p = Array.length p.slot_terms
 
-(* Number of positions of goal [g] that are fixed once the slots in
-   [bound] are: constants are always fixed, a slot position iff bound. *)
-let bound_count args bound g =
-  Array.fold_left
-    (fun n a ->
-      match a with
-      | Const _ -> n + 1
-      | Slot k -> if bound.(k) then n + 1 else n)
-    0 args.(g)
-
 let compile ?stats body =
   let body = Array.of_list body in
-  let n = Array.length body in
   let preds = Array.map Atom.pred body in
-  let slot_tbl = Hashtbl.create 16 in
+  let slot_tbl = Hashtbl.create 8 in
   let rev_slots = ref [] in
   let count = ref 0 in
   let slot_of t =
@@ -48,44 +42,93 @@ let compile ?stats body =
              (Atom.args a)))
       body
   in
-  let slot_terms = Array.of_list (List.rev !rev_slots) in
-  let card g =
-    match stats with None -> 0 | Some i -> Instance.pred_cardinal preds.(g) i
+  let cards =
+    match stats with
+    | None -> Array.make (Array.length body) 0
+    | Some i -> Array.map (fun p -> Instance.pred_cardinal p i) preds
   in
-  let variant r =
-    let bound = Array.make (Array.length slot_terms) false in
-    let taken = Array.make n false in
-    let mark g =
-      Array.iter
-        (function Slot k -> bound.(k) <- true | Const _ -> ())
-        args.(g)
-    in
-    let order = Array.make n r in
-    taken.(r) <- true;
-    mark r;
-    for d = 1 to n - 1 do
-      (* greedy: most bound positions, then smaller relation, then first
-         in the body — ascending scan with strict comparisons keeps the
-         earliest goal on ties, so the order is deterministic. *)
-      let bestg = ref (-1) and bestb = ref (-1) and bestc = ref max_int in
-      for g = 0 to n - 1 do
-        if not taken.(g) then begin
-          let b = bound_count args bound g in
-          let c = card g in
-          if b > !bestb || (b = !bestb && c < !bestc) then begin
-            bestg := g;
-            bestb := b;
-            bestc := c
-          end
+  {
+    body;
+    preds;
+    args;
+    slot_terms = Array.of_list (List.rev !rev_slots);
+    cards;
+    schedules = Array.make (Array.length body) [];
+  }
+
+(* Number of positions of goal [g] that are fixed once the slots in
+   [bound] are: constants are always fixed, a slot position iff bound. *)
+let bound_count args bound g =
+  Array.fold_left
+    (fun n a ->
+      match a with
+      | Const _ -> n + 1
+      | Slot k -> if bound.(k) then n + 1 else n)
+    0 args.(g)
+
+let variant plan r =
+  let n = Array.length plan.body in
+  let args = plan.args in
+  let bound = Array.make (nslots plan) false in
+  let taken = Array.make n false in
+  let mark g =
+    Array.iter (function Slot k -> bound.(k) <- true | Const _ -> ()) args.(g)
+  in
+  let order = Array.make n r in
+  taken.(r) <- true;
+  mark r;
+  for d = 1 to n - 1 do
+    (* greedy: most bound positions, then smaller relation, then first
+       in the body — ascending scan with strict comparisons keeps the
+       earliest goal on ties, so the order is deterministic. *)
+    let bestg = ref (-1) and bestb = ref (-1) and bestc = ref max_int in
+    for g = 0 to n - 1 do
+      if not taken.(g) then begin
+        let b = bound_count args bound g in
+        let c = plan.cards.(g) in
+        if b > !bestb || (b = !bestb && c < !bestc) then begin
+          bestg := g;
+          bestb := b;
+          bestc := c
         end
-      done;
-      order.(d) <- !bestg;
-      taken.(!bestg) <- true;
-      mark !bestg
+      end
     done;
-    order
+    order.(d) <- !bestg;
+    taken.(!bestg) <- true;
+    mark !bestg
+  done;
+  order
+
+(* Which positions of each step's goal are fixed when the step starts
+   (Const, bound on entry, or bound by an earlier step of the variant) is a
+   function of the root and the entry-bound slots alone. *)
+let make_schedule plan root bound =
+  let bound = Array.copy bound in
+  let order = variant plan root in
+  let fixed =
+    Array.map
+      (fun g ->
+        let ga = plan.args.(g) in
+        let m = Array.map (function Const _ -> true | Slot k -> bound.(k)) ga in
+        Array.iter (function Slot k -> bound.(k) <- true | Const _ -> ()) ga;
+        m)
+      order
   in
-  { body; preds; args; slot_terms; variants = Array.init n variant }
+  let positions m =
+    List.init (Array.length m) Fun.id
+    |> List.filter (fun i -> m.(i))
+    |> Array.of_list
+  in
+  { order; fixed; probe = Array.map positions fixed }
+
+(* Memoised per root and set of entry-bound slots. *)
+let schedule plan root bound =
+  match List.assoc_opt bound plan.schedules.(root) with
+  | Some s -> s
+  | None ->
+      let s = make_schedule plan root bound in
+      plan.schedules.(root) <- (Array.copy bound, s) :: plan.schedules.(root);
+      s
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing *)
@@ -139,7 +182,7 @@ let pp ppf plan =
             (function Slot k -> bound.(k) <- true | Const _ -> ())
             plan.args.(g))
         order)
-    plan.variants;
+    (Array.init (Array.length plan.body) (variant plan));
   Fmt.pf ppf "@]"
 
 let shared_slots plan i j =
@@ -155,11 +198,10 @@ let pp_dot ppf plan =
   Fmt.pf ppf "digraph plan {@.";
   Fmt.pf ppf "  rankdir=LR;@.";
   Fmt.pf ppf "  node [shape=box,fontname=\"monospace\"];@.";
-  let root0 = if Array.length plan.variants > 0 then plan.variants.(0).(0) else -1 in
   Array.iteri
     (fun g a ->
       Fmt.pf ppf "  g%d [label=\"%d: %a\"%s];@." g g Atom.pp a
-        (if g = root0 then ",style=bold" else ""))
+        (if g = 0 then ",style=bold" else ""))
     plan.body;
   let n = Array.length plan.body in
   for i = 0 to n - 1 do

@@ -25,28 +25,8 @@ let holds_inj ?tuple i u =
   List.exists (fun q -> Cq.holds_inj ?tuple i q) u.disjuncts
 
 let witness ?tuple ~inj i u =
-  let init_of q =
-    match tuple with
-    | None -> Some Subst.empty
-    | Some tuple ->
-        if List.length tuple <> List.length (Cq.answer q) then None
-        else
-          List.fold_left2
-            (fun acc x t ->
-              match acc with
-              | None -> None
-              | Some s -> (
-                  match Subst.find_opt x s with
-                  | Some u' -> if Term.equal u' t then acc else None
-                  | None -> Some (Subst.add x t s)))
-            (Some Subst.empty) (Cq.answer q) tuple
-  in
   List.find_map
-    (fun q ->
-      match init_of q with
-      | None -> None
-      | Some init ->
-          Option.map (fun h -> (q, h)) (Hom.find ~inj ~init (Cq.body q) i))
+    (fun q -> Option.map (fun h -> (q, h)) (Cq.find ?tuple ~inj i q))
     u.disjuncts
 
 let cover u =

@@ -45,9 +45,21 @@ let find_child parent name =
       parent.children <- c :: parent.children;
       c
 
+(* The memory probes walk process-wide tables, so span exits sample them
+   at most once per millisecond: a hot span (one plan compile per
+   one-shot query body) would otherwise pay the walk thousands of times. *)
+let next_sample_us = ref 0
+
+let sample_memory_due () =
+  let now = Events.now_us () in
+  if now >= !next_sample_us then begin
+    next_sample_us := now + 1000;
+    Metrics.sample_memory ()
+  end
+
 (* Spans also drive the deeper profiling layers when those are on:
-   each enter/exit becomes an {!Events} timeline record, and each exit
-   samples the {!Metrics} memory gauges. The disabled fast path is
+   each enter/exit becomes an {!Events} timeline record, and exits
+   sample the {!Metrics} memory gauges. The disabled fast path is
    three slot reads (one per layer) — allocation-free and
    branch-predictable at round/stage granularity. *)
 let span name f =
@@ -59,7 +71,7 @@ let span name f =
     let lbl = if ev then Events.label name else 0 in
     if ev then Events.enter lbl;
     let deep_exit () =
-      if mt then Metrics.sample_memory ();
+      if mt then sample_memory_due ();
       if ev then Events.leave lbl
     in
     match st with

@@ -39,7 +39,8 @@ val span : string -> (unit -> 'a) -> 'a
 
     Spans also feed the deeper profiling layers when those are enabled:
     enter/exit become {!Events} timeline records
-    and every exit samples the {!Metrics} memory gauges — so enabling
+    and exits sample the {!Metrics} memory gauges (at most once per
+    millisecond: the probes walk process-wide tables) — so enabling
     [Events] alone (without telemetry) still yields a full timeline. *)
 
 (** {1 Snapshots} *)

@@ -61,26 +61,13 @@ let prepare q =
 let shape q =
   (Cq.size q, List.length (Cq.answer q), Term.Set.cardinal (Cq.vars q))
 
-(* The answer tuple of [q] mapped pointwise onto that of [q'], if
-   consistent. The map need not be injective. *)
-let answer_init q q' =
-  List.fold_left2
-    (fun acc x y ->
-      match acc with
-      | None -> None
-      | Some s -> (
-          match Subst.find_opt x s with
-          | Some y' -> if Term.equal y y' then acc else None
-          | None -> Some (Subst.add x y s)))
-    (Some Subst.empty) (Cq.answer q) (Cq.answer q')
-
 (* [iso_cq] on two queries of the same [shape]. The predicate-set test is
    implied by the hom below and only prunes. *)
 let iso_prepared p p' =
   Instance.cardinal p.inst = Instance.cardinal p'.inst
   && Symbol.Set.subset p.preds p'.preds
   &&
-  match answer_init p.cq p'.cq with
+  match Cq.align p.cq (Cq.answer p'.cq) with
   | None -> false
   | Some init -> Hom.exists ~inj:true ~init (Cq.body p.cq) p'.inst
 

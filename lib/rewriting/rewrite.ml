@@ -51,7 +51,7 @@ let rewrite_ucq ?max_rounds ?max_disjuncts ?(minimize = true)
         if minimize then
           List.fold_left
             (fun fresh q ->
-              let subsumed_by q' = Nca_plan.Exec.subsumes q' q in
+              let subsumed_by q' = Cq.subsumes q' q in
               if List.exists subsumed_by all || List.exists subsumed_by fresh
               then fresh
               else q :: fresh)
@@ -61,27 +61,15 @@ let rewrite_ucq ?max_rounds ?max_disjuncts ?(minimize = true)
           (* ablation mode: keep everything that is not an isomorphic copy
              of a known disjunct (no subsumption-based minimization) *)
           let iso q q' =
-            List.length (Cq.answer q) = List.length (Cq.answer q')
-            && Cq.size q = Cq.size q'
+            Cq.size q = Cq.size q'
             &&
-            let init =
-              List.fold_left2
-                (fun acc x y ->
-                  match acc with
-                  | None -> None
-                  | Some s -> (
-                      match Subst.find_opt x s with
-                      | Some y' -> if Term.equal y y' then acc else None
-                      | None -> Some (Subst.add x y s)))
-                (Some Subst.empty) (Cq.answer q) (Cq.answer q')
-            in
-            match init with
+            match Cq.align q (Cq.answer q') with
             | None -> false
             | Some init ->
                 let tgt = Instance.of_list (Cq.body q') in
                 Instance.cardinal (Instance.of_list (Cq.body q))
                 = Instance.cardinal tgt
-                && Nca_plan.Exec.exists ~inj:true ~init (Cq.body q) tgt
+                && Hom.exists ~inj:true ~init (Cq.body q) tgt
           in
           List.fold_left
             (fun fresh q ->

@@ -1,4 +1,4 @@
-(* Process-wide SAT totals, mirroring [Nca_plan.Cache.stats]: the
+(* Process-wide SAT totals, mirroring [Nca_logic.Cache.stats]: the
    engine records after each solver round, the stats report reads the
    aggregate. *)
 

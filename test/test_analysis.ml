@@ -13,6 +13,10 @@ module Rulesets = Nca_core.Rulesets
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+(* homomorphisms both ways *)
+let hom_equiv a b =
+  Hom.exists (Instance.atoms a) b && Hom.exists (Instance.atoms b) a
 let v i = Term.cst (Printf.sprintf "v%d" i)
 let graph edges = G.of_edges (List.map (fun (i, j) -> (v i, v j)) edges)
 let e2 = Symbol.make "E" 2
@@ -124,7 +128,7 @@ let test_core_collapses_redundancy () =
   let i = Instance.of_list [ e x y; e x z ] in
   let c = Core.core i in
   check_int "one atom" 1 (Instance.cardinal c);
-  check "equivalent to original" true (Hom.hom_equiv i c)
+  check "equivalent to original" true (hom_equiv i c)
 
 let test_core_of_core_is_core () =
   let x = Term.var "x" and y = Term.var "y" in
@@ -377,7 +381,7 @@ let prop_core_equivalent =
     (fun i ->
       QCheck.assume (not (Instance.is_empty i));
       let c = Core.core i in
-      Hom.hom_equiv i c && Core.is_core c)
+      hom_equiv i c && Core.is_core c)
 
 (* ------------------------------------------------------------------ *)
 (* Lint engine: one triggering and one non-triggering fixture per
@@ -431,6 +435,9 @@ let lint_fixtures =
       "r: A(x) -> E(x,y).",
       (* Datalog-only termination is trivial and stays unreported *)
       "tc: E(x,y), E(y,z) -> E(x,z)." );
+    ( "NCA019",
+      "r: E(x,y) -> E(y,x). r: E(x,y) -> B(x).",
+      "r: E(x,y) -> E(y,x). s: E(x,y) -> B(x)." );
   ]
 
 let test_lint_fixture_table () =
@@ -441,6 +448,25 @@ let test_lint_fixture_table () =
       check (code ^ " stays silent on the negative fixture") false
         (has_code code (Lint.lint_source neg)))
     lint_fixtures
+
+let test_lint_duplicate_label () =
+  let diags =
+    Lint.lint_source "r: E(x,y) -> E(y,x). r: E(x,y) -> B(x). r: B(x) -> A(x)."
+    |> List.filter (fun (d : Diag.t) -> d.code = "NCA019")
+  in
+  check_int "one warning per later use" 2 (List.length diags);
+  List.iter
+    (fun (d : Diag.t) ->
+      check "warning" true (d.severity = Diag.Warning);
+      check "points at the first use" true
+        (d.certificate = Some "first labelled r: rule #0"))
+    diags;
+  check "at the later rules" true
+    (List.map (fun (d : Diag.t) -> d.location) diags
+    = [
+        Diag.Rule_site { name = "r"; index = 1 };
+        Diag.Rule_site { name = "r"; index = 2 };
+      ])
 
 let test_lint_arity_drift () =
   (* the parser itself enforces a consistent signature, so an NCA002
@@ -817,6 +843,7 @@ let () =
         [
           tc "fixture table (pos/neg per code)" test_lint_fixture_table;
           tc "arity drift (NCA002)" test_lint_arity_drift;
+          tc "duplicate labels (NCA019)" test_lint_duplicate_label;
           tc "parse error span (NCA001)" test_lint_parse_error_span;
           tc "pipeline invariants (NCA013)" test_lint_pipeline_invariants;
           tc "JSON round-trip" test_lint_json_roundtrip;

@@ -315,7 +315,7 @@ let prop_iter_delta_is_all_delta =
         List.concat_map
           (fun (rule, goals) ->
             let homs = ref [] in
-            Nca_plan.Exec.iter_targets goals (fun h -> homs := h :: !homs);
+            Hom.iter_targets goals (fun h -> homs := h :: !homs);
             List.rev_map (fun hom -> { Trigger.rule; hom }) !homs)
           (Trigger.delta_tasks delta_rules ~total ~delta)
       in

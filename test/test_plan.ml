@@ -1,25 +1,25 @@
-(* The compiled-plan executor.
+(* The compiled homomorphism engine against the test oracles.
 
-   Three families of guarantees:
+   Four families of guarantees:
    - the sorted posting arrays the leapfrog merge runs on are exactly the
      positional index, in ascending atom-id order (Instance invariant);
-   - the executor is a drop-in for the interpreted Hom search: same match
-     sets on random bodies/instances (plain, injective, seeded with an
-     initial binding), and for bodies of at most two atoms the very same
+   - [Hom] agrees with the interpreted oracle search: same match sets on
+     random bodies/instances (plain, injective, seeded with an initial
+     binding), and for bodies of at most two atoms the very same
      enumeration order — the property the byte-identity goldens lean on;
-   - the engines rewired onto it (Trigger.all_delta, Datalog, Chase) agree
-     with the interpreted oracle, including under budgets: the same
-     Exhausted verdicts, the same closures, isomorphic chase results. *)
+   - the query layer on top of it (Cq, Ucq, isomorphism) answers as the
+     same functions run on the oracle search;
+   - the engines built on it (Trigger.all_delta, Datalog, Chase) agree
+     with the oracle and the seed engines, including under budgets: the
+     same closures, the same chase results up to null names. *)
 
 open Nca_logic
 module Rulesets = Nca_core.Rulesets
 module Trigger = Nca_chase.Trigger
 module Chase = Nca_chase.Chase
 module Datalog = Nca_chase.Datalog
-module Exhausted = Nca_obs.Exhausted
-module Plan = Nca_plan.Plan
-module Cache = Nca_plan.Cache
-module Exec = Nca_plan.Exec
+module Oracle = Nca_oracle.Hom
+module Naive = Nca_oracle.Naive
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -28,11 +28,6 @@ let e2 = Symbol.make "E" 2
 let a1 = Symbol.make "A" 1
 let b1 = Symbol.make "B" 1
 let sign = Symbol.Set.of_list [ e2; a1; b1 ]
-
-let with_planner b f =
-  let prev = Exec.enabled () in
-  Exec.set_enabled b;
-  Fun.protect ~finally:(fun () -> Exec.set_enabled prev) f
 
 (* canonical form of a match: the bindings as (code, code) pairs in key
    order — total, and independent of the map's internal shape *)
@@ -119,7 +114,7 @@ let prop_posting_invariant =
         [ inst; shrunk ])
 
 (* ------------------------------------------------------------------ *)
-(* Differential: executor vs interpreted Hom *)
+(* Differential: Hom vs the interpreted oracle *)
 
 let init01 =
   Subst.add (Term.var "v0") (Term.cst "c0") Subst.empty
@@ -127,25 +122,25 @@ let init01 =
 let prop_same_matches =
   QCheck.Test.make ~name:"compiled ≡ interpreted: match sets" ~count:300
     search_arb (fun (body, inst) ->
-      let c = with_planner true (fun () -> Exec.all body inst) in
-      let h = Hom.all body inst in
-      norm c = norm h)
+      norm (Hom.all body inst) = norm (Oracle.all body inst))
 
 let prop_same_matches_inj =
   QCheck.Test.make ~name:"compiled ≡ interpreted: injective match sets"
     ~count:300 search_arb (fun (body, inst) ->
-      let c = with_planner true (fun () -> Exec.all ~inj:true body inst) in
-      let h = Hom.all ~inj:true body inst in
-      norm c = norm h)
+      norm (Hom.all ~inj:true body inst)
+      = norm (Oracle.all ~inj:true body inst))
 
+(* Seeded and unseeded runs on the same body: the plan's schedules are
+   memoised per set of entry-bound slots, so neither may reuse the
+   other's. *)
 let prop_same_matches_init =
   QCheck.Test.make ~name:"compiled ≡ interpreted: seeded match sets"
     ~count:300 search_arb (fun (body, inst) ->
-      let c =
-        with_planner true (fun () -> Exec.all ~init:init01 body inst)
-      in
-      let h = Hom.all ~init:init01 body inst in
-      norm c = norm h)
+      norm (Hom.all ~init:init01 body inst)
+      = norm (Oracle.all ~init:init01 body inst)
+      && norm (Hom.all ~inj:true ~init:init01 body inst)
+         = norm (Oracle.all ~inj:true ~init:init01 body inst)
+      && norm (Hom.all body inst) = norm (Oracle.all body inst))
 
 let prop_same_order_small =
   QCheck.Test.make
@@ -153,22 +148,128 @@ let prop_same_order_small =
     ~count:300
     (QCheck.make QCheck.Gen.(pair (list_size (int_range 1 2) atom_gen) inst_gen))
     (fun (body, inst) ->
-      let c = with_planner true (fun () -> Exec.all body inst) in
-      let h = Hom.all body inst in
-      keys c = keys h
-      &&
-      let ci = with_planner true (fun () -> Exec.all ~inj:true body inst) in
-      keys ci = keys (Hom.all ~inj:true body inst))
+      keys (Hom.all body inst) = keys (Oracle.all body inst)
+      && keys (Hom.all ~inj:true body inst)
+         = keys (Oracle.all ~inj:true body inst))
 
 let test_empty_body () =
   let tgt = Parser.instance "E(a,b)" in
-  with_planner true @@ fun () ->
-  check_int "one empty match" 1 (Exec.count [] tgt);
-  check "exists" true (Exec.exists [] tgt);
-  check "all = [empty]" true (Exec.all [] tgt = [ Subst.empty ])
+  check_int "one empty match" 1 (Hom.count [] tgt);
+  check "exists" true (Hom.exists [] tgt);
+  check "all = [empty]" true (Hom.all [] tgt = [ Subst.empty ])
 
 (* ------------------------------------------------------------------ *)
-(* Rewired engines vs the interpreted oracle *)
+(* The query layer vs the same functions on the oracle search *)
+
+let vars_of body = Term.sorted_elements (Atom.vars_of_list body)
+
+(* A CQ over a random body: up to two answer positions drawn (with
+   repetition) from the body's variables, plus a candidate tuple of
+   constants of the same length. *)
+let cq_gen =
+  QCheck.Gen.(
+    body_gen >>= fun body ->
+    match vars_of body with
+    | [] -> return (Cq.boolean body, [])
+    | vs ->
+        list_size (int_range 0 2) (oneofl vs) >>= fun answer ->
+        list_repeat (List.length answer)
+          (map (fun i -> Term.cst (Fmt.str "c%d" i)) (int_range 0 3))
+        >|= fun tuple -> (Cq.make ~answer body, tuple))
+
+let pp_cq (q, tuple) =
+  Fmt.str "%a @@ (%a)" Cq.pp q Fmt.(list ~sep:comma Term.pp) tuple
+
+let query_arb =
+  QCheck.make ~print:(fun (q, _) -> pp_cq q) QCheck.Gen.(pair cq_gen inst_gen)
+
+(* [Cq.align], restated independently: bind each answer variable to the
+   tuple's term, failing on a conflict or a length mismatch. *)
+let ref_align q tuple =
+  if List.length tuple <> List.length (Cq.answer q) then None
+  else
+    List.fold_left2
+      (fun acc x t ->
+        Option.bind acc (fun s ->
+            match Subst.find_opt x s with
+            | None -> Some (Subst.add x t s)
+            | Some u -> if Term.equal u t then Some s else None))
+      (Some Subst.empty) (Cq.answer q) tuple
+
+let oracle_find ?tuple ~inj i q =
+  match tuple with
+  | None -> Oracle.find ~inj (Cq.body q) i
+  | Some t ->
+      Option.bind (ref_align q t) (fun init ->
+          Oracle.find ~inj ~init (Cq.body q) i)
+
+let oracle_answers i q =
+  List.sort_uniq compare
+    (List.map
+       (fun s -> List.map (fun x -> Term.code (Subst.apply s x)) (Cq.answer q))
+       (Oracle.all (Cq.body q) i))
+
+let prop_cq_agrees =
+  QCheck.Test.make ~name:"Cq.holds/holds_inj/answers ≡ oracle" ~count:300
+    query_arb (fun ((q, tuple), inst) ->
+      let same ?tuple ~inj () =
+        (if inj then Cq.holds_inj ?tuple inst q else Cq.holds ?tuple inst q)
+        = Option.is_some (oracle_find ?tuple ~inj inst q)
+      in
+      same ~inj:false () && same ~inj:true ()
+      && same ~tuple ~inj:false () && same ~tuple ~inj:true ()
+      && List.sort_uniq compare
+           (List.map (List.map Term.code) (Cq.answers inst q))
+         = oracle_answers inst q)
+
+let prop_subsumes_agrees =
+  QCheck.Test.make ~name:"Cq.subsumes ≡ oracle" ~count:300
+    (QCheck.make QCheck.Gen.(pair cq_gen cq_gen))
+    (fun ((q, _), (q', _)) ->
+      let oracle =
+        match ref_align q (Cq.answer q') with
+        | None -> false
+        | Some init ->
+            Oracle.exists ~init (Cq.body q) (Instance.of_list (Cq.body q'))
+      in
+      Cq.subsumes q q' = oracle && Cq.subsumes q' q' && Cq.subsumes q q)
+
+(* [Ucq.witness] reports the first disjunct that holds, so the disjunct is
+   engine-independent; its homomorphism must be a genuine one. *)
+let prop_ucq_witness_agrees =
+  QCheck.Test.make ~name:"Ucq.witness ≡ oracle" ~count:200
+    (QCheck.make
+       QCheck.Gen.(pair (list_size (int_range 1 3) body_gen) inst_gen))
+    (fun (bodies, inst) ->
+      let u = Ucq.make (List.map Cq.boolean bodies) in
+      List.for_all
+        (fun inj ->
+          let first =
+            List.find_opt
+              (fun q -> Option.is_some (oracle_find ~inj inst q))
+              (Ucq.disjuncts u)
+          in
+          match (Ucq.witness ~inj inst u, first) with
+          | None, None -> true
+          | Some (q, h), Some q' ->
+              Cq.compare q q' = 0
+              && List.for_all
+                   (fun a -> Instance.mem a inst)
+                   (Subst.apply_atoms h (Cq.body q))
+          | _ -> false)
+        [ false; true ])
+
+let prop_isomorphic_agrees =
+  QCheck.Test.make ~name:"Hom.isomorphic ≡ oracle" ~count:200
+    (QCheck.make QCheck.Gen.(pair inst_gen inst_gen))
+    (fun (i1, i2) ->
+      let g1 = Instance.generalize i1 and g2 = Instance.generalize i2 in
+      let r1, _ = Instance.rename_apart ~avoid:Term.Set.empty g1 in
+      Hom.isomorphic g1 g2 = Oracle.isomorphic g1 g2
+      && Hom.isomorphic g1 r1 && Oracle.isomorphic g1 r1)
+
+(* ------------------------------------------------------------------ *)
+(* Engines built on Hom vs the oracle and the seed engines *)
 
 let split_delta inst =
   let _, delta =
@@ -182,18 +283,27 @@ let prop_all_delta_agree =
   QCheck.Test.make ~name:"Trigger.all_delta: compiled ≡ interpreted"
     ~count:100 (QCheck.make inst_gen) (fun total ->
       let delta = split_delta total in
-      let run on =
-        with_planner on (fun () ->
-            List.map Trigger.key (Trigger.all_delta rules_sym_tc ~total ~delta))
+      let oracle =
+        List.concat_map
+          (fun (rule, goals) ->
+            let acc = ref [] in
+            Oracle.iter_targets goals (fun hom ->
+                acc := Trigger.key { Trigger.rule; hom } :: !acc);
+            !acc)
+          (Trigger.delta_tasks rules_sym_tc ~total ~delta)
       in
       let sort = List.sort Trigger.Key.compare in
-      List.equal Trigger.Key.equal (sort (run true)) (sort (run false)))
+      List.equal Trigger.Key.equal
+        (sort
+           (List.map Trigger.key (Trigger.all_delta rules_sym_tc ~total ~delta)))
+        (sort oracle))
 
 let prop_datalog_agree =
-  QCheck.Test.make ~name:"Datalog closure: compiled ≡ interpreted" ~count:50
+  QCheck.Test.make ~name:"Datalog closure ≡ seed semi-naive" ~count:50
     (QCheck.make inst_gen) (fun inst ->
-      let run on = with_planner on (fun () -> Datalog.closure inst rules_sym_tc) in
-      Instance.equal (run true) (run false))
+      Instance.equal
+        (Datalog.closure inst rules_sym_tc)
+        (Naive.datalog_saturate inst rules_sym_tc))
 
 let linear_rules_arb =
   QCheck.make
@@ -201,10 +311,6 @@ let linear_rules_arb =
       map
         (fun seed -> Rulesets.random_forward_existential_rules ~seed ~rules:4)
         (int_range 0 5000))
-
-let resource = function
-  | None -> None
-  | Some (e : Exhausted.t) -> Some e.resource
 
 (* Null numbering within one run is deterministic (trigger order), but the
    fresh-null counter is global, so two runs in one process disagree on the
@@ -226,34 +332,36 @@ let canon inst =
     (function Term.Null n -> Term.Null (Hashtbl.find tbl n) | t -> t)
     inst
 
+let chase_start = Parser.instance "E(c0,c1), A(c0)"
+
+(* The engine's chase against the seed oblivious chase, both cut at
+   [depth]: the same verdict, level count and instance up to null names. *)
+let same_as_seed rules depth =
+  let c = Chase.run ~max_depth:depth ~max_atoms:2000 chase_start rules in
+  let inst, levels, saturated =
+    Naive.chase ~max_depth:depth ~max_atoms:2000 chase_start rules
+  in
+  c.Chase.saturated = saturated
+  && List.length c.Chase.levels = List.length levels
+  && Instance.equal (canon c.Chase.instance) (canon inst)
+
 let prop_chase_agree =
-  QCheck.Test.make ~name:"chase: compiled ≡ interpreted (up to null names)"
-    ~count:50 linear_rules_arb (fun rules ->
+  QCheck.Test.make ~name:"chase ≡ seed chase (up to null names)" ~count:50
+    linear_rules_arb (fun rules ->
       QCheck.assume (rules <> []);
-      let i = Parser.instance "E(c0,c1), A(c0)" in
-      let run on =
-        with_planner on (fun () -> Chase.run ~max_depth:4 ~max_atoms:2000 i rules)
-      in
-      let c = run true and h = run false in
-      c.Chase.saturated = h.Chase.saturated
-      && c.Chase.depth = h.Chase.depth
-      && resource c.Chase.stopped = resource h.Chase.stopped
-      && Instance.equal (canon c.Chase.instance) (canon h.Chase.instance))
+      same_as_seed rules 4)
 
 let prop_budget_prefix_survives =
   QCheck.Test.make
-    ~name:"budgeted chase: compiled run = prefix with the same verdict"
-    ~count:30 linear_rules_arb (fun rules ->
+    ~name:"budgeted chase: seed-equal prefix of the deeper run" ~count:30
+    linear_rules_arb (fun rules ->
       QCheck.assume (rules <> []);
-      let i = Parser.instance "E(c0,c1), A(c0)" in
-      let run on depth =
-        with_planner on (fun () ->
-            Chase.run ~max_depth:depth ~max_atoms:100000 i rules)
+      let run depth =
+        Chase.run ~max_depth:depth ~max_atoms:100000 chase_start rules
       in
-      let cut = run true 2 and cut_i = run false 2 in
-      let full = run true 5 in
-      resource cut.Chase.stopped = resource cut_i.Chase.stopped
-      && Instance.equal (canon cut.Chase.instance) (canon cut_i.Chase.instance)
+      let cut = run 2 and full = run 5 in
+      same_as_seed rules 2
+      && (cut.Chase.saturated || Option.is_some cut.Chase.stopped)
       && List.length cut.Chase.levels <= List.length full.Chase.levels
       && Instance.subset (canon cut.Chase.instance) (canon full.Chase.instance))
 
@@ -269,12 +377,15 @@ let tc_body =
 let test_plan_shape () =
   let plan = Plan.compile tc_body in
   check_int "three slots" 3 (Plan.nslots plan);
-  check_int "two variants" 2 (Array.length plan.Plan.variants);
-  Array.iteri
-    (fun r order ->
+  List.iter
+    (fun r ->
+      let order = Plan.variant plan r in
       check_int "root first" r order.(0);
-      check_int "permutation" 2 (Array.length order))
-    plan.Plan.variants
+      check_int "permutation" 2 (Array.length order);
+      check "schedule memoised" true
+        (Plan.schedule plan r [| true; false; false |]
+        == Plan.schedule plan r [| true; false; false |]))
+    [ 0; 1 ]
 
 let test_cache_discipline () =
   Cache.clear ();
@@ -288,15 +399,6 @@ let test_cache_discipline () =
   Cache.clear ();
   check "cleared" true (Cache.stats () = (0, 0, 0))
 
-let test_escape_hatch () =
-  (* set_enabled false must route everything through the interpreted
-     engine and still give the same answers *)
-  let inst = Rulesets.random_instance ~seed:7 ~constants:3 ~atoms:6 sign in
-  let body = tc_body in
-  let on = with_planner true (fun () -> Exec.all body inst) in
-  let off = with_planner false (fun () -> Exec.all body inst) in
-  check "on = off" true (keys on = keys off)
-
 (* ------------------------------------------------------------------ *)
 
 let props =
@@ -307,6 +409,10 @@ let props =
       prop_same_matches_inj;
       prop_same_matches_init;
       prop_same_order_small;
+      prop_cq_agrees;
+      prop_subsumes_agrees;
+      prop_ucq_witness_agrees;
+      prop_isomorphic_agrees;
       prop_all_delta_agree;
       prop_datalog_agree;
       prop_chase_agree;
@@ -322,7 +428,6 @@ let () =
           tc "empty body" `Quick test_empty_body;
           tc "plan shape" `Quick test_plan_shape;
           tc "cache discipline" `Quick test_cache_discipline;
-          tc "escape hatch" `Quick test_escape_hatch;
         ] );
       ("properties", props);
     ]
