@@ -1,9 +1,9 @@
-(* Experiment harness: regenerates every table (T1–T7) and figure (F1–F3)
-   of EXPERIMENTS.md, then runs the bechamel timing benches (B1–B6).
+(* Experiment harness: regenerates every table (T1–T11, A1–A2) and
+   figure (F1–F5) of EXPERIMENTS.md. Engine timings live in perf.exe.
 
    Usage:
      main.exe             run everything
-     main.exe t3 f1 b     run selected experiments ("b" = timing benches)
+     main.exe t3 f1       run selected experiments
 *)
 
 open Nca_logic
@@ -616,112 +616,12 @@ let f5 () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* B: bechamel timing benches *)
-
-let timing_tests () =
-  let open Bechamel in
-  let entry = Rulesets.example1_bdd in
-  let chase = Chase.run ~max_depth:4 entry.instance entry.rules in
-  let big = chase.instance in
-  let pattern =
-    [
-      Atom.app "E" [ Term.var "u"; Term.var "v" ];
-      Atom.app "E" [ Term.var "v"; Term.var "w" ];
-    ]
-  in
-  let eq = Cq.atom_query Rulesets.e2 in
-  [
-    Test.make ~name:"B1 hom-search path2 on chase"
-      (Staged.stage (fun () -> ignore (Hom.exists pattern big)));
-    Test.make ~name:"B2 chase example1_bdd depth3"
-      (Staged.stage (fun () ->
-           ignore (Chase.run ~max_depth:3 entry.instance entry.rules)));
-    Test.make ~name:"B3 rewrite E under example1_bdd"
-      (Staged.stage (fun () ->
-           ignore (Rewrite.rewrite ~max_rounds:6 entry.rules eq)));
-    Test.make ~name:"B4 max tournament on chase graph"
-      (Staged.stage (fun () ->
-           ignore
-             (Tournament.max_tournament_size
-                (Nca_graph.Digraph.of_instance entry.e big))));
-    Test.make ~name:"B5 streamline example1_bdd"
-      (Staged.stage (fun () ->
-           ignore (Nca_surgery.Streamline.apply entry.rules)));
-    Test.make ~name:"B7 datalog closure (semi-naive, chain 8 + tc)"
-      (Staged.stage
-         (let tc = Parser.parse_rules "tc: E(x,y), E(y,z) -> E(x,z)." in
-          let chain =
-            Instance.of_list
-              (List.init 8 (fun i ->
-                   Atom.app "E"
-                     [
-                       Term.cst (Fmt.str "c%d" i);
-                       Term.cst (Fmt.str "c%d" (i + 1));
-                     ]))
-          in
-          fun () -> ignore (Nca_chase.Datalog.saturate chain tc)));
-    Test.make ~name:"B8 datalog closure (generic chase, chain 8 + tc)"
-      (Staged.stage
-         (let tc = Parser.parse_rules "tc: E(x,y), E(y,z) -> E(x,z)." in
-          let chain =
-            Instance.of_list
-              (List.init 8 (fun i ->
-                   Atom.app "E"
-                     [
-                       Term.cst (Fmt.str "c%d" i);
-                       Term.cst (Fmt.str "c%d" (i + 1));
-                     ]))
-          in
-          fun () -> ignore (Chase.run ~max_depth:20 chain tc)));
-    Test.make ~name:"B6 specializations of path-2"
-      (Staged.stage (fun () ->
-           ignore
-             (Injective.specializations
-                (Cq.make
-                   ~answer:[ Term.var "x"; Term.var "y" ]
-                   [
-                     Atom.app "E" [ Term.var "x"; Term.var "z" ];
-                     Atom.app "E" [ Term.var "z"; Term.var "y" ];
-                   ]))));
-  ]
-
-let run_timing () =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 500) ()
-  in
-  let rows =
-    List.concat_map
-      (fun test ->
-        let results = Benchmark.all cfg [ instance ] test in
-        let analysis = Analyze.all ols instance results in
-        Hashtbl.fold
-          (fun name ols_result acc ->
-            let ns =
-              match Analyze.OLS.estimates ols_result with
-              | Some (est :: _) -> Fmt.str "%.0f" est
-              | _ -> "?"
-            in
-            [ name; ns ] :: acc)
-          analysis [])
-      (timing_tests ())
-  in
-  Tabular.print ~title:"B — timing benches (bechamel, monotonic clock, ns/run)"
-    ~header:[ "bench"; "ns/run" ]
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 
 let all =
   [
     ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5); ("t6", t6);
     ("t7", t7); ("t8", t8); ("t9", t9); ("t10", t10); ("t11", t11); ("a1", a1); ("a2", a2);
     ("f1", f1); ("f2", f2); ("f3", f3); ("f4", f4); ("f5", f5);
-    ("b", run_timing);
   ]
 
 let () =

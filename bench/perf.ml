@@ -8,17 +8,25 @@
    machine-readable BENCH_chase.json so later PRs have a perf trajectory
    to beat.
 
+   Timing is pass-major: every row is set up first, then the whole row
+   list runs [full_passes] times (5; [smoke_passes] = 2 for the smoke),
+   each pass timing every side of every row once. A side is reported as
+   the median of its samples with their interquartile range, so drift
+   over the run shows up as spread instead of hiding behind a best-of-N.
+
    Usage:
      perf.exe                 full run, writes BENCH_chase.json in the cwd
      perf.exe --out FILE      full run, writes FILE
+     perf.exe --only SUB      only the rows whose kind/name contains SUB;
+                              writes nothing unless --out is given
      perf.exe --smoke         seconds-scale budgets, no file unless --out;
                               still validates JSON well-formedness and the
                               naive/indexed equivalence checks (the
                               @bench-smoke alias runs this under dune)
 
-   Every workload run also cross-checks the two engines against each
-   other (atom counts, level profiles, closure equality); a mismatch
-   exits non-zero, so the harness doubles as an integration test. *)
+   Every pass also cross-checks the two sides of each row (atom counts,
+   level profiles, closure equality, verdicts); a mismatch exits 2, so
+   the harness doubles as an integration test. *)
 
 open Nca_logic
 module Chase = Nca_chase.Chase
@@ -30,27 +38,27 @@ module Json = Nca_analysis.Json
 module Naive = Nca_oracle.Naive
 
 (* ------------------------------------------------------------------ *)
-(* Timing *)
+(* Rows, passes and the per-side statistic *)
 
-let time_us ?(reps = 3) f =
-  let best = ref infinity and result = ref None in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (Option.get !result, int_of_float (!best *. 1_000_000.))
-
-let speedup_x100 ~before ~after = before * 100 / max 1 after
+let full_passes = 5
+let smoke_passes = 2
 
 let failures = ref 0
 
+let mismatch workload fmt =
+  Fmt.kstr
+    (fun msg ->
+      incr failures;
+      Fmt.epr "MISMATCH %s: %s@." workload msg)
+    fmt
+
+let check_eq workload what a b =
+  if a <> b then mismatch workload "%s: %d vs %d" what a b
+
 (* One extra, untimed run with telemetry on: the engine's own counters
    (rounds, triggers, derived atoms) land next to the timings in the JSON
-   row. The timed runs above execute with telemetry disabled, so the
-   numbers stay comparable across PRs. *)
+   row. The timed runs execute with telemetry disabled, so the numbers
+   stay comparable across PRs. *)
 let counters_of f =
   Nca_obs.Telemetry.enable ();
   ignore (f ());
@@ -61,100 +69,173 @@ let counters_of f =
        (fun (k, v) -> (k, Json.Int v))
        snap.Nca_obs.Telemetry.counters)
 
-let check_eq ~workload what a b =
-  if a <> b then begin
-    Fmt.epr "MISMATCH %s: %s: %d vs %d@." workload what a b;
-    incr failures
-  end
+(* One timed side of a row: [run] executes the workload once and parks
+   its result for the row's cross-check; [samples] gets one wall time
+   per pass, in microseconds. *)
+type side = { run : unit -> unit; mutable samples : int list }
+
+type row = {
+  kind : string;
+  name : string;
+  compact : bool;
+      (* [Gc.compact] before each side. Set on rows whose sides run the
+         same engine on the same input, where the second side would
+         otherwise pay (or dodge) the first side's GC debt. *)
+  before : side option;  (* the reference engine, if the row has one *)
+  after : side;
+  settle : unit -> (string * Json.t) list;
+      (* after each pass: cross-check the parked results, drop them, and
+         return the row's descriptive fields *)
+  counters : (unit -> Json.t) option;
+  mutable fields : (string * Json.t) list;
+}
+
+let side f slot = { run = (fun () -> slot := Some (f ())); samples = [] }
+
+let take slot =
+  let v = Option.get !slot in
+  slot := None;
+  v
+
+let make ?(compact = false) ?counters ~kind ~name before after settle =
+  let counters = Option.map (fun f () -> counters_of f) counters in
+  { kind; name; compact; before; after; settle; counters; fields = [] }
+
+(* A row timing a reference side against the engine under test;
+   [check workload b a] cross-checks one pass's results and returns the
+   row's fields. *)
+let pair ?compact ?counters ~kind ~name ~before ~after check =
+  let b = ref None and a = ref None in
+  make ?compact ?counters ~kind ~name
+    (Some (side before b))
+    (side after a)
+    (fun () ->
+      let rb = take b in
+      check (kind ^ "/" ^ name) rb (take a))
+
+(* A trajectory-only row: no reference engine, one timed side. *)
+let single ?counters ~kind ~name run fields =
+  let a = ref None in
+  make ?counters ~kind ~name None (side run a) (fun () -> fields (take a))
+
+let time_side compact s =
+  if compact then Gc.compact ();
+  let t0 = Unix.gettimeofday () in
+  s.run ();
+  let dt = Unix.gettimeofday () -. t0 in
+  s.samples <- int_of_float (dt *. 1_000_000.) :: s.samples
+
+let run_passes passes rows =
+  for _ = 1 to passes do
+    List.iter
+      (fun r ->
+        Option.iter (time_side r.compact) r.before;
+        time_side r.compact r.after;
+        r.fields <- r.settle ())
+      rows
+  done
+
+(* Quantile by linear interpolation between order statistics (R's and
+   numpy's default); [sorted] is non-empty. *)
+let quantile sorted q =
+  let h = q *. float_of_int (Array.length sorted - 1) in
+  let i = int_of_float h in
+  let lo = float_of_int sorted.(i) in
+  if i + 1 >= Array.length sorted then lo
+  else lo +. ((h -. float_of_int i) *. float_of_int (sorted.(i + 1) - sorted.(i)))
+
+(* median and interquartile range of a side's samples, in microseconds *)
+let summary s =
+  let sorted = Array.of_list s.samples in
+  Array.sort Int.compare sorted;
+  let q p = quantile sorted p in
+  (Float.to_int (Float.round (q 0.5)),
+   Float.to_int (Float.round (q 0.75 -. q 0.25)))
+
+let speedup_x100 ~before ~after = before * 100 / max 1 after
+
+let row_json r =
+  let timed label s =
+    let median, iqr = summary s in
+    ( median,
+      [ (label ^ "_us", Json.Int median); (label ^ "_iqr_us", Json.Int iqr) ] )
+  in
+  let after_us, after = timed "after" r.after in
+  let timings =
+    match r.before with
+    | None -> after
+    | Some b ->
+        let before_us, before = timed "before" b in
+        before @ after
+        @ [ ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us)) ]
+  in
+  let counters =
+    match r.counters with None -> [] | Some c -> [ ("counters", c ()) ]
+  in
+  Json.Obj
+    ((("kind", Json.String r.kind) :: ("name", Json.String r.name) :: r.fields)
+    @ timings @ counters)
 
 (* ------------------------------------------------------------------ *)
 (* Workloads *)
 
 type budgets = { depth : int; atoms : int }
 
-let chase_workload ~reps (name, full, smoke_b) ~smoke =
+let chase_workload (name, full, smoke_b) ~smoke =
   let b = if smoke then smoke_b else full in
   let entry = Rulesets.find name in
-  let (n_inst, n_levels, n_sat), before_us =
-    time_us ~reps (fun () ->
-        Naive.chase ~max_depth:b.depth ~max_atoms:b.atoms entry.instance
-          entry.rules)
+  let run () =
+    Chase.run ~max_depth:b.depth ~max_atoms:b.atoms entry.instance entry.rules
   in
-  let c, after_us =
-    time_us ~reps (fun () ->
-        Chase.run ~max_depth:b.depth ~max_atoms:b.atoms entry.instance
-          entry.rules)
-  in
-  let workload = "chase/" ^ name in
-  check_eq ~workload "atoms" (Instance.cardinal n_inst)
-    (Instance.cardinal c.instance);
-  check_eq ~workload "levels" (List.length n_levels)
-    (List.length c.levels);
-  check_eq ~workload "saturated" (Bool.to_int n_sat)
-    (Bool.to_int c.saturated);
-  List.iter2
-    (fun a b ->
-      check_eq ~workload "level profile" (Instance.cardinal a)
-        (Instance.cardinal b))
-    n_levels c.levels;
-  Json.Obj
-    [
-      ("kind", Json.String "chase");
-      ("name", Json.String name);
-      ("max_depth", Json.Int b.depth);
-      ("max_atoms", Json.Int b.atoms);
-      ("atoms", Json.Int (Instance.cardinal c.instance));
-      ("before_us", Json.Int before_us);
-      ("after_us", Json.Int after_us);
-      ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
-      ( "counters",
-        counters_of (fun () ->
-            Chase.run ~max_depth:b.depth ~max_atoms:b.atoms entry.instance
-              entry.rules) );
-    ]
+  pair ~kind:"chase" ~name ~counters:run
+    ~before:(fun () ->
+      Naive.chase ~max_depth:b.depth ~max_atoms:b.atoms entry.instance
+        entry.rules)
+    ~after:run
+    (fun workload (n_inst, n_levels, n_sat) c ->
+      check_eq workload "atoms" (Instance.cardinal n_inst)
+        (Instance.cardinal c.Chase.instance);
+      check_eq workload "levels" (List.length n_levels)
+        (List.length c.levels);
+      check_eq workload "saturated" (Bool.to_int n_sat)
+        (Bool.to_int c.saturated);
+      List.iter2
+        (fun a b ->
+          check_eq workload "level profile" (Instance.cardinal a)
+            (Instance.cardinal b))
+        n_levels c.levels;
+      [
+        ("max_depth", Json.Int b.depth);
+        ("max_atoms", Json.Int b.atoms);
+        ("atoms", Json.Int (Instance.cardinal c.instance));
+      ])
 
-let datalog_workload ~reps (name, instance, rules_src, smoke_scale) ~smoke =
-  let instance = if smoke then smoke_scale instance else instance in
+let datalog_workload (name, instance, rules_src) =
   let rules = Parser.parse_rules rules_src in
-  let n_closure, before_us =
-    time_us ~reps (fun () -> Naive.datalog_saturate instance rules)
-  in
-  let closure, after_us =
-    time_us ~reps (fun () -> Datalog.closure instance rules)
-  in
-  let workload = "datalog/" ^ name in
-  check_eq ~workload "closure" (Instance.cardinal n_closure)
-    (Instance.cardinal closure);
-  if not (Instance.equal n_closure closure) then begin
-    Fmt.epr "MISMATCH %s: closures differ@." workload;
-    incr failures
-  end;
-  Json.Obj
-    [
-      ("kind", Json.String "datalog");
-      ("name", Json.String name);
-      ("db_atoms", Json.Int (Instance.cardinal instance));
-      ("closure_atoms", Json.Int (Instance.cardinal closure));
-      ("before_us", Json.Int before_us);
-      ("after_us", Json.Int after_us);
-      ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
-      ("counters", counters_of (fun () -> Datalog.closure instance rules));
-    ]
+  let run () = Datalog.closure instance rules in
+  pair ~kind:"datalog" ~name ~counters:run
+    ~before:(fun () -> Naive.datalog_saturate instance rules)
+    ~after:run
+    (fun workload n_closure closure ->
+      check_eq workload "closure" (Instance.cardinal n_closure)
+        (Instance.cardinal closure);
+      if not (Instance.equal n_closure closure) then
+        mismatch workload "closures differ";
+      [
+        ("db_atoms", Json.Int (Instance.cardinal instance));
+        ("closure_atoms", Json.Int (Instance.cardinal closure));
+      ])
 
-let hom_workload ~reps (name, pattern, target) =
-  let n_count, before_us = time_us ~reps (fun () -> Naive.count pattern target) in
-  let count, after_us = time_us ~reps (fun () -> Hom.count pattern target) in
-  check_eq ~workload:("hom/" ^ name) "hom count" n_count count;
-  Json.Obj
-    [
-      ("kind", Json.String "hom");
-      ("name", Json.String name);
-      ("target_atoms", Json.Int (Instance.cardinal target));
-      ("homs", Json.Int count);
-      ("before_us", Json.Int before_us);
-      ("after_us", Json.Int after_us);
-      ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
-    ]
+let hom_workload (name, pattern, target) =
+  pair ~kind:"hom" ~name
+    ~before:(fun () -> Naive.count pattern target)
+    ~after:(fun () -> Hom.count pattern target)
+    (fun workload n_count count ->
+      check_eq workload "hom count" n_count count;
+      [
+        ("target_atoms", Json.Int (Instance.cardinal target));
+        ("homs", Json.Int count);
+      ])
 
 (* Interned-vs-reference comparator workloads: the same data pushed once
    through the id-based comparators used on the hot paths and once
@@ -168,27 +249,20 @@ module Structural_set = Set.Make (struct
   let compare = Atom.compare_structural
 end)
 
-let intern_row name ~detail ~reps ~before ~after ~data_atoms =
-  let n_before, before_us = time_us ~reps before in
-  let n_after, after_us = time_us ~reps after in
-  check_eq ~workload:("intern/" ^ name) "result" n_before n_after;
-  Json.Obj
-    [
-      ("kind", Json.String "intern");
-      ("name", Json.String name);
-      ("detail", Json.String detail);
-      ("data_atoms", Json.Int data_atoms);
-      ("result", Json.Int n_after);
-      ("before_us", Json.Int before_us);
-      ("after_us", Json.Int after_us);
-      ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
-    ]
+let intern_row name ~detail ~before ~after ~data_atoms =
+  pair ~kind:"intern" ~name ~before ~after (fun workload n_before n_after ->
+      check_eq workload "result" n_before n_after;
+      [
+        ("detail", Json.String detail);
+        ("data_atoms", Json.Int data_atoms);
+        ("result", Json.Int n_after);
+      ])
 
 (* Hom-search flavor: the inner loop of matching is membership of a
    candidate fact in an already-matched set. Probe an interned id-ordered
    Atom.Set and a structurally-ordered reference set with the same
    mixed hit/miss stream. *)
-let intern_membership_workload ~reps ~rounds target =
+let intern_membership_workload ~rounds target =
   let facts = Instance.atoms target in
   let misses =
     List.filter_map
@@ -214,7 +288,6 @@ let intern_membership_workload ~reps ~rounds target =
   in
   intern_row "hom_membership"
     ~detail:"set membership probes on chase output (matching inner loop)"
-    ~reps
     ~before:(fun () -> count (fun a -> Structural_set.mem a structural))
     ~after:(fun () -> count (fun a -> Atom.Set.mem a interned))
     ~data_atoms:(List.length probes)
@@ -222,7 +295,7 @@ let intern_membership_workload ~reps ~rounds target =
 (* Rewriting flavor: piece rewriting and minimization dedup candidate
    bodies with sort_uniq after every unification step. Replay that dedup
    over the bodies the rewriting actually produced. *)
-let intern_dedup_workload ~reps ~rounds ~max_rounds name =
+let intern_dedup_workload ~rounds ~max_rounds name =
   let entry = Rulesets.find name in
   let q = Cq.atom_query entry.e in
   let out = Rewrite.rewrite ~max_rounds entry.rules q in
@@ -241,60 +314,42 @@ let intern_dedup_workload ~reps ~rounds ~max_rounds name =
   intern_row "rewrite_dedup"
     ~detail:
       (Fmt.str "sort_uniq over %s rewriting bodies (piece/minimize dedup)" name)
-    ~reps
     ~before:(fun () -> dedup Atom.compare_structural)
     ~after:(fun () -> dedup Atom.compare)
     ~data_atoms:(List.length pool)
 
 (* Provenance overhead: the same chase timed with fact-level recording
-   off (the default, one ref read per trigger) and on (an entry per
-   derived fact). Here before = recording ON and after = recording OFF,
-   so speedup_x100 is the overhead ratio directly: 100 = free, 110 = 10%
+   on (an entry per derived fact) and off (the default, one ref read per
+   trigger). Here before = recording ON and after = recording OFF, so
+   speedup_x100 is the overhead ratio directly: 100 = free, 110 = 10%
    slower with recording. The cross-check asserts recording is neutral —
    identical atom counts and depth either way. *)
-let provenance_workload ~reps (name, full, smoke_b) ~smoke =
+let provenance_workload (name, full, smoke_b) ~smoke =
   let b = if smoke then smoke_b else full in
   let entry = Rulesets.find name in
-  (* the two sides run the same engine on the same input — compact the
-     heap before each so the second side does not pay (or dodge) the
-     first side's GC debt, which at example1 scale outweighs the
-     recording cost being measured *)
-  Gc.compact ();
-  let off, off_us =
-    time_us ~reps (fun () ->
-        Chase.run ~max_depth:b.depth ~max_atoms:b.atoms entry.instance
-          entry.rules)
+  let module P = Nca_provenance.Provenance in
+  let run () =
+    Chase.run ~max_depth:b.depth ~max_atoms:b.atoms entry.instance entry.rules
   in
-  Gc.compact ();
-  let (on, stats), on_us =
-    time_us ~reps (fun () ->
-        Nca_provenance.Provenance.enable ();
-        Fun.protect ~finally:Nca_provenance.Provenance.disable (fun () ->
-            let c =
-              Chase.run ~max_depth:b.depth ~max_atoms:b.atoms entry.instance
-                entry.rules
-            in
-            (c, Nca_provenance.Provenance.stats ())))
-  in
-  let workload = "provenance/" ^ name in
-  check_eq ~workload "atoms" (Instance.cardinal off.Chase.instance)
-    (Instance.cardinal on.Chase.instance);
-  check_eq ~workload "depth" off.Chase.depth on.Chase.depth;
-  Json.Obj
-    [
-      ("kind", Json.String "provenance");
-      ("name", Json.String name);
-      ("max_depth", Json.Int b.depth);
-      ("max_atoms", Json.Int b.atoms);
-      ("atoms", Json.Int (Instance.cardinal on.Chase.instance));
-      ("facts_tracked", Json.Int stats.Nca_provenance.Provenance.facts);
-      ("store_bytes", Json.Int stats.Nca_provenance.Provenance.store_bytes);
-      ("max_derivation_depth",
-       Json.Int stats.Nca_provenance.Provenance.max_depth);
-      ("before_us", Json.Int on_us);
-      ("after_us", Json.Int off_us);
-      ("speedup_x100", Json.Int (speedup_x100 ~before:on_us ~after:off_us));
-    ]
+  pair ~compact:true ~kind:"provenance" ~name
+    ~before:(fun () ->
+      P.enable ();
+      Fun.protect ~finally:P.disable (fun () ->
+          let c = run () in
+          (c, P.stats ())))
+    ~after:run
+    (fun workload (on, stats) off ->
+      check_eq workload "atoms" (Instance.cardinal off.Chase.instance)
+        (Instance.cardinal on.Chase.instance);
+      check_eq workload "depth" off.Chase.depth on.Chase.depth;
+      [
+        ("max_depth", Json.Int b.depth);
+        ("max_atoms", Json.Int b.atoms);
+        ("atoms", Json.Int (Instance.cardinal on.Chase.instance));
+        ("facts_tracked", Json.Int stats.P.facts);
+        ("store_bytes", Json.Int stats.P.store_bytes);
+        ("max_derivation_depth", Json.Int stats.P.max_depth);
+      ])
 
 (* Observability overhead rows: the same chase run once with every
    profiling layer recording (telemetry counters/spans + metrics
@@ -305,57 +360,48 @@ let provenance_workload ~reps (name, full, smoke_b) ~smoke =
    after_us, like every chase row, feeds `nocliques debug bench-diff`
    against the committed baseline, so an instrumentation check that
    leaks cost into the disabled path shows up as a plain regression. *)
-let obs_workload ~reps (name, full, smoke_b) ~smoke =
+let obs_workload (name, full, smoke_b) ~smoke =
   let b = if smoke then smoke_b else full in
   let entry = Rulesets.find name in
   let run () =
     Chase.run ~max_depth:b.depth ~max_atoms:b.atoms entry.instance entry.rules
   in
-  Gc.compact ();
-  let off, off_us = time_us ~reps run in
-  Gc.compact ();
-  let (on, events, dropped), on_us =
-    time_us ~reps (fun () ->
-        Nca_obs.Telemetry.enable ();
-        Nca_obs.Metrics.enable ();
-        Nca_obs.Events.enable ();
-        Fun.protect
-          ~finally:(fun () ->
-            Nca_obs.Telemetry.disable ();
-            Nca_obs.Metrics.disable ();
-            Nca_obs.Events.disable ())
-          (fun () ->
-            let c = run () in
-            let snap = Nca_obs.Events.snapshot () in
-            ( c,
-              List.length snap.Nca_obs.Events.events,
-              snap.Nca_obs.Events.dropped )))
-  in
-  let workload = "obs/" ^ name in
-  check_eq ~workload "atoms"
-    (Instance.cardinal off.Chase.instance)
-    (Instance.cardinal on.Chase.instance);
-  check_eq ~workload "depth" off.Chase.depth on.Chase.depth;
-  Json.Obj
-    [
-      ("kind", Json.String "obs");
-      ("name", Json.String name);
-      ("max_depth", Json.Int b.depth);
-      ("max_atoms", Json.Int b.atoms);
-      ("atoms", Json.Int (Instance.cardinal on.Chase.instance));
-      ("events", Json.Int events);
-      ("events_dropped", Json.Int dropped);
-      ("before_us", Json.Int on_us);
-      ("after_us", Json.Int off_us);
-      ("speedup_x100", Json.Int (speedup_x100 ~before:on_us ~after:off_us));
-    ]
+  pair ~compact:true ~kind:"obs" ~name
+    ~before:(fun () ->
+      Nca_obs.Telemetry.enable ();
+      Nca_obs.Metrics.enable ();
+      Nca_obs.Events.enable ();
+      Fun.protect
+        ~finally:(fun () ->
+          Nca_obs.Telemetry.disable ();
+          Nca_obs.Metrics.disable ();
+          Nca_obs.Events.disable ())
+        (fun () ->
+          let c = run () in
+          let snap = Nca_obs.Events.snapshot () in
+          ( c,
+            List.length snap.Nca_obs.Events.events,
+            snap.Nca_obs.Events.dropped )))
+    ~after:run
+    (fun workload (on, events, dropped) off ->
+      check_eq workload "atoms"
+        (Instance.cardinal off.Chase.instance)
+        (Instance.cardinal on.Chase.instance);
+      check_eq workload "depth" off.Chase.depth on.Chase.depth;
+      [
+        ("max_depth", Json.Int b.depth);
+        ("max_atoms", Json.Int b.atoms);
+        ("atoms", Json.Int (Instance.cardinal on.Chase.instance));
+        ("events", Json.Int events);
+        ("events_dropped", Json.Int dropped);
+      ])
 
 (* Planner-vs-interpreter rows: enumerate every trigger of the rule set
    over its chase fixpoint (trigger enumeration IS the hom search — no
    instance construction, no key table), once on the interpreted oracle
    search and once on the compiled [Hom], so speedup_x100 is the
    planner's own contribution on top of indexing/interning. *)
-let plan_hom_workload ~reps (name, full, smoke_b) ~smoke =
+let plan_hom_workload (name, full, smoke_b) ~smoke =
   let b = if smoke then smoke_b else full in
   let entry = Rulesets.find name in
   let fixpoint =
@@ -368,23 +414,15 @@ let plan_hom_workload ~reps (name, full, smoke_b) ~smoke =
       (fun n r -> n + count (Rule.body r) fixpoint)
       0 entry.rules
   in
-  Gc.compact ();
-  let n_h, before_us =
-    time_us ~reps (triggers (fun src tgt -> Nca_oracle.Hom.count src tgt))
-  in
-  Gc.compact ();
-  let n_c, after_us = time_us ~reps (triggers (fun src tgt -> Hom.count src tgt)) in
-  check_eq ~workload:("plan/hom/" ^ name) "triggers" n_h n_c;
-  Json.Obj
-    [
-      ("kind", Json.String "plan");
-      ("name", Json.String ("hom/" ^ name));
-      ("target_atoms", Json.Int (Instance.cardinal fixpoint));
-      ("triggers", Json.Int n_c);
-      ("before_us", Json.Int before_us);
-      ("after_us", Json.Int after_us);
-      ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
-    ]
+  pair ~compact:true ~kind:"plan" ~name:("hom/" ^ name)
+    ~before:(triggers (fun src tgt -> Nca_oracle.Hom.count src tgt))
+    ~after:(triggers (fun src tgt -> Hom.count src tgt))
+    (fun workload n_h n_c ->
+      check_eq workload "triggers" n_h n_c;
+      [
+        ("target_atoms", Json.Int (Instance.cardinal fixpoint));
+        ("triggers", Json.Int n_c);
+      ])
 
 (* Finite-model rows: the same bounded search run once on the
    depth-first completion engine (before) and once on the SAT-backed
@@ -401,72 +439,57 @@ let fm_verdict_name = function
   | Finite_model.No_model -> "no_model"
   | Finite_model.Exhausted _ -> "exhausted"
 
-let fm_workload ~reps (name, fresh, max_steps) =
+let fm_workload (name, fresh, max_steps) =
   let entry = Rulesets.find name in
   let forbid = Some (Cq.loop_query entry.e) in
   let run engine () =
     Finite_model.search ~engine ~fresh ~max_steps ?forbid entry.instance
       entry.rules
   in
-  Gc.compact ();
-  let d, before_us = time_us ~reps (run Finite_model.Dfs) in
-  Gc.compact ();
-  let s, after_us = time_us ~reps (run Finite_model.Sat) in
-  let workload = Fmt.str "fm/%s@fresh%d" name fresh in
-  (match (d, s) with
-  | Finite_model.Model _, Finite_model.No_model
-  | Finite_model.No_model, Finite_model.Model _ ->
-      Fmt.epr "MISMATCH %s: dfs %s vs sat %s@." workload (fm_verdict_name d)
-        (fm_verdict_name s);
-      incr failures
-  | _ -> ());
-  (match s with
-  | Finite_model.Model m -> (
-      match
-        Nca_chase.Fm_check.check ?forbid ~start:entry.instance
-          ~rules:entry.rules m
-      with
-      | Ok () -> ()
-      | Error e ->
-          Fmt.epr "MISMATCH %s: sat model rejected by the checker: %s@."
-            workload e;
-          incr failures)
-  | _ -> ());
-  Json.Obj
-    [
-      ("kind", Json.String "fm");
-      ("name", Json.String (Fmt.str "%s@fresh%d" name fresh));
-      ("fresh", Json.Int fresh);
-      ("max_steps", Json.Int max_steps);
-      ("dfs_verdict", Json.String (fm_verdict_name d));
-      ("sat_verdict", Json.String (fm_verdict_name s));
-      ("before_us", Json.Int before_us);
-      ("after_us", Json.Int after_us);
-      ("speedup_x100", Json.Int (speedup_x100 ~before:before_us ~after:after_us));
-    ]
+  pair ~compact:true ~kind:"fm" ~name:(Fmt.str "%s@fresh%d" name fresh)
+    ~before:(run Finite_model.Dfs) ~after:(run Finite_model.Sat)
+    (fun workload d s ->
+      (match (d, s) with
+      | Finite_model.Model _, Finite_model.No_model
+      | Finite_model.No_model, Finite_model.Model _ ->
+          mismatch workload "dfs %s vs sat %s" (fm_verdict_name d)
+            (fm_verdict_name s)
+      | _ -> ());
+      (match s with
+      | Finite_model.Model m -> (
+          match
+            Nca_chase.Fm_check.check ?forbid ~start:entry.instance
+              ~rules:entry.rules m
+          with
+          | Ok () -> ()
+          | Error e ->
+              mismatch workload "sat model rejected by the checker: %s" e)
+      | _ -> ());
+      [
+        ("fresh", Json.Int fresh);
+        ("max_steps", Json.Int max_steps);
+        ("dfs_verdict", Json.String (fm_verdict_name d));
+        ("sat_verdict", Json.String (fm_verdict_name s));
+      ])
 
 (* Rewriting rides on the same Hom hot path; no separate naive engine is
    preserved for it, so these entries record the trajectory only. *)
-let rewrite_workload ~reps ~max_rounds name =
+let rewrite_workload ~max_rounds name =
   let entry = Rulesets.find name in
   let q = Cq.atom_query entry.e in
-  let out, after_us =
-    time_us ~reps (fun () -> Rewrite.rewrite ~max_rounds entry.rules q)
-  in
-  Json.Obj
-    [
-      ("kind", Json.String "rewrite");
-      ("name", Json.String name);
-      ("max_rounds", Json.Int max_rounds);
-      ("ucq_size", Json.Int (Ucq.size out.ucq));
-      ("complete", Json.Bool out.complete);
-      ("after_us", Json.Int after_us);
-    ]
+  single ~kind:"rewrite" ~name
+    (fun () -> Rewrite.rewrite ~max_rounds entry.rules q)
+    (fun out ->
+      [
+        ("max_rounds", Json.Int max_rounds);
+        ("ucq_size", Json.Int (Ucq.size out.ucq));
+        ("complete", Json.Bool out.complete);
+      ])
 
 (* The specialization closure and isomorphism dedup of [Q_inj]
    (Proposition 6) on the rewriting the Section-5 analysis computes: E(x,y)
    under the regalized rule set. Only [Injective.of_ucq] is timed. *)
-let injective_workload ~reps name =
+let injective_workload name =
   let entry = Rulesets.find name in
   let regalized = Nca_surgery.Pipeline.regalize entry.instance entry.rules in
   let out = Rewrite.rewrite regalized.final (Cq.atom_query entry.e) in
@@ -475,40 +498,30 @@ let injective_workload ~reps name =
       (List.concat_map Nca_rewriting.Injective.specializations
          (Ucq.disjuncts out.ucq))
   in
-  let u_inj, after_us =
-    time_us ~reps (fun () -> Nca_rewriting.Injective.of_ucq out.ucq)
-  in
-  Json.Obj
-    [
-      ("kind", Json.String "rewrite");
-      ("name", Json.String ("injective/" ^ name));
-      ("specializations", Json.Int specializations);
-      ("ucq_size", Json.Int (Ucq.size u_inj));
-      ("after_us", Json.Int after_us);
-    ]
+  single ~kind:"rewrite" ~name:("injective/" ^ name)
+    (fun () -> Nca_rewriting.Injective.of_ucq out.ucq)
+    (fun u_inj ->
+      [
+        ("specializations", Json.Int specializations);
+        ("ucq_size", Json.Int (Ucq.size u_inj));
+      ])
 
 (* The termination classifier (static hierarchy + budgeted critical-
    instance chase) has no naive counterpart either; the rows pin the
    cost and the verdict so regressions in either show up in the
    trajectory. *)
-let classify_workload ~reps name =
+let classify_workload name =
   let entry = Rulesets.find name in
   let module T = Nca_analysis.Termination in
-  let t, after_us = time_us ~reps (fun () -> T.classify entry.rules) in
-  let status =
-    match t.T.verdict with
-    | T.Terminating (c, _) -> "terminating/" ^ T.criterion_name c
-    | T.Non_terminating _ -> "non-terminating"
-    | T.Unknown _ -> "unknown"
-  in
-  Json.Obj
-    [
-      ("kind", Json.String "classify");
-      ("name", Json.String name);
-      ("verdict", Json.String status);
-      ("after_us", Json.Int after_us);
-      ("counters", counters_of (fun () -> T.classify entry.rules));
-    ]
+  let run () = T.classify entry.rules in
+  single ~kind:"classify" ~name ~counters:run run (fun t ->
+      let status =
+        match t.T.verdict with
+        | T.Terminating (c, _) -> "terminating/" ^ T.criterion_name c
+        | T.Non_terminating _ -> "non-terminating"
+        | T.Unknown _ -> "unknown"
+      in
+      [ ("verdict", Json.String status) ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -528,9 +541,8 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* Host metadata (bench_chase v2): lets bench-diff refuse to hard-fail
-   a comparison across differing hosts, whose timings are not
-   commensurable. *)
+(* Host metadata: lets bench-diff refuse to hard-fail a comparison
+   across differing hosts, whose timings are not commensurable. *)
 let git_describe () =
   try
     let ic =
@@ -551,9 +563,8 @@ let host_json () =
       ("git_describe", Json.String (git_describe ()));
     ]
 
-let run_all ~smoke ~only =
+let rows ~smoke ~only =
   let sel name = match only with None -> true | Some s -> contains name s in
-  let reps = if smoke then 1 else 3 in
   (* Budgets are per-workload: deep for the linear/join rule sets where
      the naive engine's per-round re-enumeration bites, shallow for the
      geometric ones (dense, tangle, example1_bdd) where the final round
@@ -570,34 +581,26 @@ let run_all ~smoke ~only =
       ("all_pairs", { depth = 80; atoms = 20000 }, { depth = 10; atoms = 500 });
     ]
   in
-  let datalog_workloads =
+  let chase_rows =
+    chase_workloads
+    |> List.filter (fun (n, _, _) -> sel ("chase/" ^ n))
+    |> List.map (fun w -> chase_workload w ~smoke)
+  in
+  let datalog_rows =
     [
-      ( "tc_chain",
-        chain (if smoke then 12 else 48),
-        "tc: E(x,y), E(y,z) -> E(x,z).",
-        fun i -> i );
+      ("tc_chain", chain (if smoke then 12 else 48), "tc: E(x,y), E(y,z) -> E(x,z).");
       ( "tc_sym_random",
         Rulesets.random_instance ~seed:7
           ~constants:(if smoke then 8 else 24)
           ~atoms:(if smoke then 20 else 120)
           (Symbol.Set.singleton (Symbol.make "E" 2)),
-        "sym: E(x,y) -> E(y,x). tc: E(x,y), E(y,z) -> E(x,z).",
-        fun i -> i );
+        "sym: E(x,y) -> E(y,x). tc: E(x,y), E(y,z) -> E(x,z)." );
       ( "broadcast_star",
         star (if smoke then 10 else 60),
-        "b1: H(x), N(y) -> E(x,y). b2: H(x), N(y) -> E(y,x).",
-        fun i -> i );
+        "b1: H(x), N(y) -> E(x,y). b2: H(x), N(y) -> E(y,x)." );
     ]
-  in
-  let chase_rows =
-    chase_workloads
-    |> List.filter (fun (n, _, _) -> sel ("chase/" ^ n))
-    |> List.map (fun w -> chase_workload ~reps w ~smoke)
-  in
-  let datalog_rows =
-    datalog_workloads
-    |> List.filter (fun (n, _, _, _) -> sel ("datalog/" ^ n))
-    |> List.map (fun w -> datalog_workload ~reps w ~smoke)
+    |> List.filter (fun (n, _, _) -> sel ("datalog/" ^ n))
+    |> List.map datalog_workload
   in
   let hom_target =
     let entry = Rulesets.find "example1_bdd" in
@@ -612,58 +615,56 @@ let run_all ~smoke ~only =
       ("vee_join", [ e u v; e u w ], hom_target);
     ]
     |> List.filter (fun (n, _, _) -> sel ("hom/" ^ n))
-    |> List.map (fun w -> hom_workload ~reps w)
+    |> List.map hom_workload
   in
   let fm_rows =
-    (* one step budget for both engines per row; reps = 1 because the
-       interesting rows run the DFS side to its budget. The smoke run
-       keeps every row (so its bench-diff lists none as removed) at a
-       tenth of the budget. *)
+    (* one step budget for both engines per row; the interesting rows
+       run the DFS side to its budget. The smoke run keeps every row (so
+       its bench-diff lists none as removed) at a tenth of the budget. *)
     let max_steps = if smoke then 50_000 else 500_000 in
     List.concat_map
       (fun name -> List.map (fun fresh -> (name, fresh, max_steps)) [ 2; 4; 8 ])
       [ "example1"; "succ_only" ]
     |> List.filter (fun (n, f, _) -> sel (Fmt.str "fm/%s@fresh%d" n f))
-    |> List.map (fun w -> fm_workload ~reps:1 w)
+    |> List.map fm_workload
   in
   let rewrite_rows =
     [ "example1_bdd"; "symmetric"; "sticky"; "ucq_defined" ]
     |> List.filter (fun n -> sel ("rewrite/" ^ n))
-    |> List.map (rewrite_workload ~reps ~max_rounds:(if smoke then 4 else 8))
+    |> List.map (rewrite_workload ~max_rounds:(if smoke then 4 else 8))
   in
   let injective_rows =
     [ "example1_bdd" ]
     |> List.filter (fun n -> sel ("rewrite/injective/" ^ n))
-    |> List.map (injective_workload ~reps)
+    |> List.map injective_workload
   in
   let classify_rows =
     [ "example1"; "example1_bdd"; "succ_only"; "guarded"; "sticky";
       "datalog_star" ]
     |> List.filter (fun n -> sel ("classify/" ^ n))
-    |> List.map (fun n -> classify_workload ~reps n)
+    |> List.map classify_workload
+  in
+  let overhead_workloads =
+    [
+      ("example1", { depth = 32; atoms = 20000 }, { depth = 8; atoms = 500 });
+      ("dense", { depth = 8; atoms = 20000 }, { depth = 5; atoms = 500 });
+      ("inclusion", { depth = 300; atoms = 20000 }, { depth = 30; atoms = 500 });
+    ]
   in
   let provenance_rows =
-    [
-      ("example1", { depth = 32; atoms = 20000 }, { depth = 8; atoms = 500 });
-      ("dense", { depth = 8; atoms = 20000 }, { depth = 5; atoms = 500 });
-      ("inclusion", { depth = 300; atoms = 20000 }, { depth = 30; atoms = 500 });
-    ]
+    overhead_workloads
     |> List.filter (fun (n, _, _) -> sel ("provenance/" ^ n))
-    |> List.map (fun w -> provenance_workload ~reps w ~smoke)
+    |> List.map (fun w -> provenance_workload w ~smoke)
   in
   let obs_rows =
-    [
-      ("example1", { depth = 32; atoms = 20000 }, { depth = 8; atoms = 500 });
-      ("dense", { depth = 8; atoms = 20000 }, { depth = 5; atoms = 500 });
-      ("inclusion", { depth = 300; atoms = 20000 }, { depth = 30; atoms = 500 });
-    ]
+    overhead_workloads
     |> List.filter (fun (n, _, _) -> sel ("obs/" ^ n))
-    |> List.map (fun w -> obs_workload ~reps w ~smoke)
+    |> List.map (fun w -> obs_workload w ~smoke)
   in
   let intern_rows =
     (if sel "intern/hom_membership" then
        [
-         intern_membership_workload ~reps
+         intern_membership_workload
            ~rounds:(if smoke then 5 else 200)
            hom_target;
        ]
@@ -671,7 +672,7 @@ let run_all ~smoke ~only =
     @
     if sel "intern/rewrite_dedup" then
       [
-        intern_dedup_workload ~reps
+        intern_dedup_workload
           ~rounds:(if smoke then 5 else 500)
           ~max_rounds:(if smoke then 4 else 8)
           "example1_bdd";
@@ -684,14 +685,23 @@ let run_all ~smoke ~only =
            List.mem n [ "example1"; "example1_bdd"; "dense"; "tangle";
                         "all_pairs" ])
     |> List.filter (fun (n, _, _) -> sel ("plan/hom/" ^ n))
-    |> List.map (fun w -> plan_hom_workload ~reps w ~smoke)
+    |> List.map (fun w -> plan_hom_workload w ~smoke)
   in
+  chase_rows @ datalog_rows @ hom_rows @ fm_rows @ rewrite_rows
+  @ injective_rows @ classify_rows @ provenance_rows @ obs_rows @ intern_rows
+  @ plan_hom_rows
+
+let run_all ~smoke ~only =
+  let rows = rows ~smoke ~only in
+  let passes = if smoke then smoke_passes else full_passes in
+  run_passes passes rows;
   Json.Obj
     [
-      ("schema", Json.String "nocliques/bench_chase/v2");
+      ("schema", Json.String "nocliques/bench_chase/v3");
       ("smoke", Json.Bool smoke);
       ("host", host_json ());
       ("time_unit", Json.String "us");
+      ("passes", Json.Int passes);
       ( "note",
         Json.String
           "before = seed engines (predicate-scan Hom, full trigger \
@@ -712,67 +722,79 @@ let run_all ~smoke ~only =
            intersection. obs rows: before = chase with every profiling layer \
            recording (telemetry + metrics + event ring), after = all \
            off, so speedup_x100 is the recording overhead (100 = free). \
-           v2 adds the host block (cores, ocaml_version, os_type, git \
-           describe) consumed by `nocliques debug bench-diff`, which \
-           only hard-fails comparisons between runs whose host blocks \
-           match. speedup_x100 = 100 * before/after." );
-      ( "workloads",
-        Json.List
-          (chase_rows @ datalog_rows @ hom_rows @ fm_rows @ rewrite_rows
-          @ injective_rows @ classify_rows @ provenance_rows @ obs_rows @ intern_rows
-          @ plan_hom_rows) );
+           v3 timing: the whole row list runs `passes` times, each pass \
+           timing every side once (Gc.compact before each side of the \
+           provenance, obs, plan and fm rows); before_us/after_us are \
+           the medians over the passes and before_iqr_us/after_iqr_us \
+           their interquartile ranges, all in integer microseconds. \
+           `nocliques debug bench-diff` flags a row only when its \
+           after_us median grew past the threshold and by more than the \
+           two documents' after_iqr_us combined, and hard-fails only \
+           between documents whose host blocks (cores, ocaml_version) \
+           and smoke flags match. speedup_x100 = 100 * before/after \
+           (medians)." );
+      ("workloads", Json.List (List.map row_json rows));
     ]
 
+let row_key row =
+  let str k = Option.value ~default:"?" (Option.bind (Json.member k row) Json.to_str) in
+  str "kind" ^ "/" ^ str "name"
+
+let workloads doc =
+  Option.value ~default:[] (Option.bind (Json.member "workloads" doc) Json.to_list)
+
+(* each side as median ± IQR *)
 let summarize doc =
-  match Json.member "workloads" doc with
-  | Some (Json.List rows) ->
+  List.iter
+    (fun row ->
+      let int k = Option.bind (Json.member k row) Json.to_int in
+      let side label =
+        match (int (label ^ "_us"), int (label ^ "_iqr_us")) with
+        | Some m, Some iqr -> Fmt.str "%8d ±%6d us" m iqr
+        | _ -> Fmt.str "%19s" "-"
+      in
+      let speedup =
+        match int "speedup_x100" with
+        | Some s -> Fmt.str "  (%d.%02dx)" (s / 100) (s mod 100)
+        | None -> ""
+      in
+      Fmt.pr "%-30s %s -> %s%s@." (row_key row) (side "before") (side "after")
+        speedup)
+    (workloads doc)
+
+(* Harness-rot check: the emitted document must round-trip, and every
+   timed side must carry its spread. *)
+let check_rendered rendered =
+  match Json.parse rendered with
+  | Error e ->
+      Fmt.epr "BENCH json does not round-trip: %s@." e;
+      incr failures
+  | Ok doc ->
       List.iter
         (fun row ->
-          let str k = Option.bind (Json.member k row) Json.to_str in
-          let int k = Option.bind (Json.member k row) Json.to_int in
-          let name =
-            Fmt.str "%s/%s"
-              (Option.value ~default:"?" (str "kind"))
-              (Option.value ~default:"?" (str "name"))
-          in
-          match (int "before_us", int "after_us", int "speedup_x100") with
-          | Some b, Some a, Some s ->
-              Fmt.pr "%-28s %8d us -> %8d us  (%d.%02dx)@." name b a (s / 100)
-                (s mod 100)
-          | _ -> (
-              match (int "jobs1_us", int "jobs2_us", int "jobs4_us") with
-              | Some j1, Some j2, Some j4 ->
-                  Fmt.pr "%-28s j1 %8d us  j2 %8d us  j4 %8d us@." name j1 j2
-                    j4
-              | _ ->
-                  Fmt.pr "%-28s %8s    -> %8d us@." name "-"
-                    (Option.value ~default:0 (int "after_us"))))
-        rows
-  | _ -> ()
+          List.iter
+            (fun label ->
+              let has k = Json.member k row <> None in
+              if has (label ^ "_us") && not (has (label ^ "_iqr_us")) then begin
+                Fmt.epr "BENCH row %s: %s_us without %s_iqr_us@." (row_key row)
+                  label label;
+                incr failures
+              end)
+            [ "before"; "after" ])
+        (workloads doc)
 
 let () =
   let argv = Array.to_list Sys.argv in
   let smoke = List.mem "--smoke" argv in
-  let rec out_arg = function
-    | "--out" :: path :: _ -> Some path
-    | _ :: rest -> out_arg rest
+  let rec arg flag = function
+    | f :: value :: _ when f = flag -> Some value
+    | _ :: rest -> arg flag rest
     | [] -> None
   in
-  let out = out_arg argv in
-  let rec only_arg = function
-    | "--only" :: sub :: _ -> Some sub
-    | _ :: rest -> only_arg rest
-    | [] -> None
-  in
-  let only = only_arg argv in
+  let out = arg "--out" argv and only = arg "--only" argv in
   let doc = run_all ~smoke ~only in
   let rendered = Fmt.str "%a" Json.pp doc in
-  (* harness-rot check: the emitted document must round-trip *)
-  (match Json.parse rendered with
-  | Ok _ -> ()
-  | Error e ->
-      Fmt.epr "BENCH json does not round-trip: %s@." e;
-      incr failures);
+  check_rendered rendered;
   summarize doc;
   (* a filtered run is partial — never let it overwrite the committed
      document unless an output path was asked for explicitly *)

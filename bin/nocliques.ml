@@ -465,8 +465,8 @@ let chase_cmd =
       match deepest_fact () with
       | None -> Fmt.pr "no derived facts to explain@."
       | Some (a, _) ->
-          Fmt.pr "derivation of the deepest derived fact:@.%a@." Proof.pp
-            (Proof.of_fact a)
+          Fmt.pr "derivation of the deepest derived fact:@.%a@."
+            (Proof.pp ~rules:prog.rules) (Proof.of_fact a)
     end;
     if explain_nulls then begin
       let invented = Term.Set.elements (Chase.invented c) in
@@ -478,7 +478,7 @@ let chase_cmd =
       | [] -> Fmt.pr "no invented terms to explain@."
       | t :: _ ->
           Fmt.pr "derivation of the deepest invented term:@.%a@."
-            Nca_chase.Derivation.pp
+            (Nca_chase.Derivation.pp ~rules:prog.rules)
             (Nca_chase.Derivation.of_term c t)
     end;
     List.iter
@@ -544,10 +544,11 @@ let explain_cmd =
         end
         else begin
           let p = Proof.of_fact fact in
-          Fmt.pr "%a@." Proof.pp p;
+          Fmt.pr "%a@." (Proof.pp ~rules:prog.rules) p;
           Fmt.pr "depth=%d facts=%d rules={%s}@." (Proof.depth p)
             (Proof.size p)
-            (String.concat "," (Proof.rules_used p));
+            (String.concat ","
+               (List.map (Rule.label prog.rules) (Proof.rules_used p)));
           let proof_status = emit_proof proofs p in
           let status = budget_status "chase" c.Chase.stopped in
           if status <> 0 then status else proof_status
@@ -1349,11 +1350,13 @@ let termination_graph_cmd =
           Graphviz DOT.")
     Cterm.(const run $ file_arg $ which_arg $ out_arg)
 
-(* debug bench-diff: the first automated guard on the perf trajectory.
+(* debug bench-diff: the automated guard on the perf trajectory.
    Compares two BENCH_chase.json-shaped documents row by row (key =
-   kind/name, metric = after_us) and exits nonzero when any shared
-   workload slowed past the threshold — unless the two host blocks
-   differ, in which case a cross-machine comparison can only warn. *)
+   kind/name, metric = the after_us median) and exits nonzero when a
+   shared workload slowed past the threshold and past the two
+   documents' combined spread (after_iqr_us) — unless the documents are
+   not commensurable (different hosts, smoke vs full, or no spread), in
+   which case the diff can only warn. *)
 let bench_diff_cmd =
   let run old_path new_path threshold warn_only =
     let parse path =
@@ -1371,16 +1374,19 @@ let bench_diff_cmd =
           Fmt.epr "nocliques: %s: not a bench document (no workloads)@." path;
           Stdlib.exit 2
     in
+    let old_rows = rows old_path old_doc and new_rows = rows new_path new_doc in
     let str k row = Option.bind (Json.member k row) Json.to_str in
+    let int k row = Option.bind (Json.member k row) Json.to_int in
     let key row =
       Fmt.str "%s/%s"
         (Option.value ~default:"?" (str "kind" row))
         (Option.value ~default:"?" (str "name" row))
     in
-    let metric row = Option.bind (Json.member "after_us" row) Json.to_int in
-    (* host comparability (bench_chase v2): absent or differing host
-       metadata — or a smoke run against a full run — means the timings
-       are not commensurable and the diff can only warn *)
+    let metric = int "after_us" and spread = int "after_iqr_us" in
+    (* comparability: a smoke run against a full run, absent or
+       differing host metadata, or rows without a spread (bench < v3)
+       mean the timings are not commensurable and the diff can only
+       warn *)
     let host doc =
       match Json.member "host" doc with
       | Some h ->
@@ -1392,9 +1398,13 @@ let bench_diff_cmd =
     let smoke doc =
       match Json.member "smoke" doc with Some (Json.Bool b) -> b | _ -> false
     in
+    let has_spread =
+      List.for_all (fun r -> metric r = None || spread r <> None)
+    in
     let incomparable =
-      if smoke old_doc <> smoke new_doc then
-        Some "smoke run vs full run"
+      if smoke old_doc <> smoke new_doc then Some "smoke run vs full run"
+      else if not (has_spread old_rows && has_spread new_rows) then
+        Some "spread missing (bench < v3)"
       else
         match (host old_doc, host new_doc) with
         | Some h1, Some h2 when h1 = h2 -> None
@@ -1402,32 +1412,41 @@ let bench_diff_cmd =
         | None, _ | _, None -> Some "host metadata missing (bench < v2)"
     in
     let old_tbl = Hashtbl.create 64 in
-    List.iter
-      (fun r -> Hashtbl.replace old_tbl (key r) r)
-      (rows old_path old_doc);
+    List.iter (fun r -> Hashtbl.replace old_tbl (key r) r) old_rows;
+    let pp_iqr ppf = function
+      | Some i -> Fmt.pf ppf "%6d" i
+      | None -> Fmt.pf ppf "%6s" "?"
+    in
     let regressions = ref 0 in
     List.iter
       (fun row ->
         let k = key row in
         match Hashtbl.find_opt old_tbl k with
-        | None -> Fmt.pr "%-34s %28s (new row)@." k ""
+        | None -> Fmt.pr "%-34s %47s (new row)@." k ""
         | Some old_row -> (
             Hashtbl.remove old_tbl k;
             match (metric old_row, metric row) with
             | Some o, Some n ->
                 let delta = ((n - o) * 100) / max 1 o in
-                let slower = delta > threshold in
+                let noise =
+                  Option.value ~default:0 (spread old_row)
+                  + Option.value ~default:0 (spread row)
+                in
+                let slower = delta > threshold && n - o > noise in
                 if slower then incr regressions;
-                Fmt.pr "%-34s %10d us -> %10d us  %+4d%%%s@." k o n delta
+                Fmt.pr "%-34s %10d ±%a us -> %10d ±%a us  %+4d%%%s@." k o
+                  pp_iqr (spread old_row) n pp_iqr (spread row) delta
                   (if slower then "  SLOWER" else "")
-            | _ -> Fmt.pr "%-34s %28s (no timing)@." k ""))
-      (rows new_path new_doc);
+            | _ -> Fmt.pr "%-34s %47s (no timing)@." k ""))
+      new_rows;
     Hashtbl.fold (fun k _ acc -> k :: acc) old_tbl []
     |> List.sort String.compare
-    |> List.iter (fun k -> Fmt.pr "%-34s %28s (removed)@." k "");
+    |> List.iter (fun k -> Fmt.pr "%-34s %47s (removed)@." k "");
     if !regressions = 0 then 0
     else begin
-      Fmt.epr "nocliques: %d workload(s) slower than the %d%% threshold@."
+      Fmt.epr
+        "nocliques: %d workload(s) slower than the %d%% threshold and the \
+         combined spread@."
         !regressions threshold;
       match incomparable with
       | Some reason when not warn_only ->
@@ -1453,8 +1472,10 @@ let bench_diff_cmd =
       value & opt int 25
       & info [ "threshold" ] ~docv:"PCT"
           ~doc:
-            "Per-workload slowdown tolerance in percent; rows whose \
-             timing grew by more than $(docv)% count as regressions.")
+            "Per-workload slowdown tolerance in percent; a row counts as a \
+             regression when its after_us median grew by more than \
+             $(docv)% and by more than the two documents' after_iqr_us \
+             combined.")
   in
   let warn_only_arg =
     Arg.(
@@ -1468,9 +1489,10 @@ let bench_diff_cmd =
     (Cmd.info "bench-diff"
        ~doc:
          "Compare two BENCH_chase.json documents workload by workload \
-          and fail past a slowdown threshold. Exits 1 only when the two \
-          documents' host blocks match (a cross-host or smoke-vs-full \
-          comparison can only warn) and --warn-only is absent.")
+          and fail on slowdowns past both the threshold and the combined \
+          spread. Exits 1 only when both documents carry spreads, their \
+          host blocks match (a cross-host or smoke-vs-full comparison can \
+          only warn) and --warn-only is absent.")
     Cterm.(const run $ old_arg $ new_arg $ threshold_arg $ warn_only_arg)
 
 let debug_cmd =

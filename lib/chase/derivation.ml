@@ -45,19 +45,19 @@ let rules_used d =
   let rec collect acc d =
     let acc =
       match d.rule with
-      | Some r when not (List.mem (Rule.name r) acc) -> Rule.name r :: acc
+      | Some r when not (List.exists (Rule.equal r) acc) -> r :: acc
       | _ -> acc
     in
     List.fold_left collect acc d.premises
   in
   List.rev (collect [] d)
 
-let rec pp ppf d =
+let rec pp ~rules ppf d =
   match d.rule with
   | None -> Fmt.pf ppf "%a (given, level %d)" Term.pp d.term d.level
   | Some r ->
       Fmt.pf ppf "@[<v 2>%a by %s at level %d from %a%a@]" Term.pp d.term
-        (Rule.name r) d.level Atom.pp_list d.body_image
+        (Rule.label rules r) d.level Atom.pp_list d.body_image
         (fun ppf premises ->
-          List.iter (fun p -> Fmt.pf ppf "@,%a" pp p) premises)
+          List.iter (fun p -> Fmt.pf ppf "@,%a" (pp ~rules) p) premises)
         d.premises

@@ -22,8 +22,10 @@ val of_term : Chase.t -> Term.t -> t
 val depth : t -> int
 (** Length of the longest chain of rule applications in the trace. *)
 
-val rules_used : t -> string list
-(** Rule names along the trace, deduplicated, in first-use order. *)
+val rules_used : t -> Rule.t list
+(** Rules along the trace, deduplicated (by rule, not by label), in
+    first-use order. *)
 
-val pp : t Fmt.t
-(** An indented tree. *)
+val pp : rules:Rule.t list -> t Fmt.t
+(** An indented tree; each step names its rule by
+    [Rule.label rules]. *)

@@ -111,6 +111,17 @@ let compare r r' =
 
 let equal r r' = compare r r' = 0
 
+let label rules r =
+  let shared =
+    List.length (List.filter (fun r' -> String.equal r'.name r.name) rules) > 1
+  in
+  let rec position k = function
+    | [] -> r.name
+    | r' :: _ when equal r r' -> Fmt.str "%s#%d" r.name k
+    | _ :: rest -> position (k + 1) rest
+  in
+  if shared then position 1 rules else r.name
+
 let pp ppf r =
   if is_datalog r then
     Fmt.pf ppf "@[<hov 2>%s: %a ->@ %a@]" r.name Atom.pp_list r.body

@@ -56,6 +56,11 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val label : t list -> t -> string
+(** [label rules r] names [r] in derivations and proofs: its name, or
+    [name#k] when another rule of [rules] shares the name (lint NCA019),
+    with [k] the 1-based position of [r] in [rules]. *)
+
 val hash : t -> int
 (** Equal on {!equal} rules; precomputed. *)
 

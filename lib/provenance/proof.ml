@@ -78,7 +78,7 @@ let rules_used root =
   fold_distinct
     (fun acc node ->
       match node.rule with
-      | Some r when not (List.mem (Rule.name r) acc) -> Rule.name r :: acc
+      | Some r when not (List.exists (Rule.equal r) acc) -> r :: acc
       | _ -> acc)
     [] root
   |> List.rev
@@ -138,7 +138,7 @@ let check ~rules ~input (root : t) =
   in
   go root
 
-let pp ppf (root : t) =
+let pp ~rules ppf (root : t) =
   let seen = Atom_tbl.create 64 in
   let rec go ppf (node : t) =
     match node.rule with
@@ -149,7 +149,7 @@ let pp ppf (root : t) =
         else begin
           Atom_tbl.add seen node.fact ();
           Fmt.pf ppf "@[<v 2>%a by %s at round %d%a@]" Atom.pp node.fact
-            (Rule.name r) node.round
+            (Rule.label rules r) node.round
             (fun ppf premises ->
               List.iter (fun p -> Fmt.pf ppf "@,%a" go p) premises)
             node.premises

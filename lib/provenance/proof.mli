@@ -40,9 +40,9 @@ val depth : t -> int
 val size : t -> int
 (** Number of distinct facts in the DAG. *)
 
-val rules_used : t -> string list
-(** Rule names along the proof, deduplicated, in first-use order of a
-    premises-first traversal. *)
+val rules_used : t -> Rule.t list
+(** Rules along the proof, deduplicated (by rule, not by label), in
+    first-use order of a premises-first traversal. *)
 
 val facts : t -> Atom.t list
 (** Every distinct fact of the DAG, premises before conclusions
@@ -61,9 +61,10 @@ val check : rules:Rule.t list -> input:Instance.t -> t -> (unit, error) result
 
 val pp_error : error Fmt.t
 
-val pp : t Fmt.t
-(** An indented tree, one line per step; a fact already printed earlier
-    is elided as ["… (shown above)"] so shared sub-DAGs stay readable. *)
+val pp : rules:Rule.t list -> t Fmt.t
+(** An indented tree, one line per step, naming each step's rule by
+    [Rule.label rules]; a fact already printed earlier is elided as
+    ["… (shown above)"] so shared sub-DAGs stay readable. *)
 
 val to_dot : ?name:string -> t -> string
 (** The DAG as Graphviz DOT ({!Nca_graph.Dot.of_dag}): one box per fact,

@@ -65,17 +65,66 @@ let test_derivation_depth_rules () =
         (Option.value ~default:0 (Chase.timestamp c t))
         (Derivation.depth d);
       check "succ creates every null" true
-        (List.mem "succ" (Derivation.rules_used d));
-      (* deduplicated: each rule name appears once *)
+        (List.mem "succ" (List.map Rule.name (Derivation.rules_used d)));
+      (* deduplicated: each rule appears once *)
       let rs = Derivation.rules_used d in
       check_int "rules_used deduplicates" (List.length rs)
-        (List.length (List.sort_uniq String.compare rs))
+        (List.length (List.sort_uniq Rule.compare rs))
 
 let test_derivation_database_term () =
   let c = Chase.run ~max_depth:2 example1.instance example1.rules in
   let d = Derivation.of_term c (Term.cst "a") in
   check_int "database terms have depth 0" 0 (Derivation.depth d);
   check "and no rules" true (Derivation.rules_used d = [])
+
+(* Two rules sharing a label (lint NCA019) are still two rules: both
+   count in rules_used, and the printed trees tell them apart by their
+   1-based position in the rule set. *)
+let labels rules used = List.map (Rule.label rules) used
+
+let test_shared_label_proofs () =
+  let p = Parser.parse_program "A(a). r: A(x) -> B(x). r: A(x) -> C(x)." in
+  with_provenance @@ fun () ->
+  ignore (Chase.run ~max_depth:2 p.facts p.rules);
+  let shown pred =
+    Fmt.str "%a" (Proof.pp ~rules:p.rules)
+      (Proof.of_fact (Atom.app pred [ Term.cst "a" ]))
+  in
+  Alcotest.(check string) "first rule" "B(a) by r#1 at round 1\n  A(a) (input)"
+    (shown "B");
+  Alcotest.(check string) "second rule" "C(a) by r#2 at round 1\n  A(a) (input)"
+    (shown "C")
+
+let test_shared_label_rules_used () =
+  let p = Parser.parse_program "A(a). r: A(x) -> B(x). r: B(x) -> C(x)." in
+  with_provenance @@ fun () ->
+  ignore (Chase.run ~max_depth:2 p.facts p.rules);
+  let proof = Proof.of_fact (Atom.app "C" [ Term.cst "a" ]) in
+  Alcotest.(check (list string)) "proof uses both rules" [ "r#1"; "r#2" ]
+    (labels p.rules (Proof.rules_used proof));
+  let q = Parser.parse_program "A(a). r: A(x) -> E(x,y). r: E(x,y) -> F(y,z)." in
+  let c = Chase.run ~max_depth:2 q.facts q.rules in
+  match
+    List.find_opt
+      (fun t -> Chase.timestamp c t = Some 2)
+      (Term.Set.elements (Chase.invented c))
+  with
+  | None -> Alcotest.fail "expected a level-2 null"
+  | Some t ->
+      let d = Derivation.of_term c t in
+      Alcotest.(check (list string)) "derivation uses both rules"
+        [ "r#2"; "r#1" ]
+        (labels q.rules (Derivation.rules_used d));
+      (* null names depend on the run order, so compare the step labels *)
+      let step_label line =
+        match String.split_on_char ' ' (String.trim line) with
+        | _ :: "by" :: label :: _ -> label
+        | _ -> line
+      in
+      Alcotest.(check (list string)) "derivation tree" [ "r#2"; "r#1" ]
+        (List.map step_label
+           (String.split_on_char '\n'
+              (Fmt.str "%a" (Derivation.pp ~rules:q.rules) d)))
 
 (* ------------------------------------------------------------------ *)
 (* Store discipline *)
@@ -184,7 +233,7 @@ let test_proof_structure () =
         | [] -> false);
       let rs = Proof.rules_used p in
       check_int "rules_used deduplicates" (List.length rs)
-        (List.length (List.sort_uniq String.compare rs))
+        (List.length (List.sort_uniq Rule.compare rs))
 
 (* ------------------------------------------------------------------ *)
 (* Rejection: corrupted proofs and certificates are refused *)
@@ -351,6 +400,10 @@ let () =
             test_derivation_depth_rules;
           Alcotest.test_case "database term" `Quick
             test_derivation_database_term;
+          Alcotest.test_case "shared label: proofs" `Quick
+            test_shared_label_proofs;
+          Alcotest.test_case "shared label: rules_used" `Quick
+            test_shared_label_rules_used;
         ] );
       ( "store",
         [
