@@ -351,10 +351,10 @@ let provenance_workload (name, full, smoke_b) ~smoke =
         ("max_derivation_depth", Json.Int stats.P.max_depth);
       ])
 
-(* Observability overhead rows: the same chase run once with every
-   profiling layer recording (telemetry counters/spans + metrics
-   histograms/gauges + the event timeline ring) and once with all of
-   them off — the default configuration every other row measures.
+(* Observability overhead rows: the same chase run once with the
+   recorder on with every part (counters, spans, histograms, gauges and
+   the event timeline ring) and once with it off — the default
+   configuration every other row measures.
    speedup_x100 is the recording overhead (100 = free). The disabled
    path's no-op contract is guarded the other way round: these rows'
    after_us, like every chase row, feeds `nocliques debug bench-diff`
@@ -368,20 +368,13 @@ let obs_workload (name, full, smoke_b) ~smoke =
   in
   pair ~compact:true ~kind:"obs" ~name
     ~before:(fun () ->
-      Nca_obs.Telemetry.enable ();
-      Nca_obs.Metrics.enable ();
-      Nca_obs.Events.enable ();
-      Fun.protect
-        ~finally:(fun () ->
-          Nca_obs.Telemetry.disable ();
-          Nca_obs.Metrics.disable ();
-          Nca_obs.Events.disable ())
-        (fun () ->
+      Nca_obs.Telemetry.enable ~timeline:65536 ();
+      Fun.protect ~finally:Nca_obs.Telemetry.disable (fun () ->
           let c = run () in
-          let snap = Nca_obs.Events.snapshot () in
-          ( c,
-            List.length snap.Nca_obs.Events.events,
-            snap.Nca_obs.Events.dropped )))
+          let { Nca_obs.Events.events; dropped } =
+            (Nca_obs.Telemetry.snapshot ()).timeline
+          in
+          (c, List.length events, dropped)))
     ~after:run
     (fun workload (on, events, dropped) off ->
       check_eq workload "atoms"

@@ -35,22 +35,21 @@ module Proof = Nca_provenance.Proof
 module Certificate = Nca_core.Certificate
 module Proof_report = Nca_analysis.Proof_report
 module Termination = Nca_analysis.Termination
-module Events = Nca_obs.Events
-module Metrics = Nca_obs.Metrics
 module Trace_export = Nca_obs.Trace_export
 
 (* The memory gauges of the v6 stats schema: [Nca_obs] sits below the
    term layer, so the process-wide occupancy probes are registered here
-   rather than imported there. Sampled at span exits when metrics
-   recording is on. *)
+   rather than imported there. Sampled at span exits when recording is
+   on. *)
 let () =
-  Metrics.register_sampler "names.live_bytes" Names.live_bytes;
-  Metrics.register_sampler "atoms.count" Atom.count;
-  Metrics.register_sampler "atoms.shard_max_depth" (fun () ->
+  Telemetry.register_sampler "names.live_bytes" Names.live_bytes;
+  Telemetry.register_sampler "atoms.count" Atom.count;
+  Telemetry.register_sampler "atoms.shard_max_depth" (fun () ->
       List.fold_left (fun m (_, depth) -> max m depth) 0 (Atom.shard_stats ()))
 
-(* Exit codes: 0 ok, 1 analysis/stage failure, 2 usage error (Cmdliner),
-   3 budget exhausted before a verdict. *)
+(* Exit codes: 0 ok, 1 analysis/stage failure, 2 usage error (Cmdliner)
+   or unreadable input / unwritable report, 3 budget exhausted before a
+   verdict. *)
 let exit_budget = 3
 
 let read_file path =
@@ -222,63 +221,62 @@ let scrub_times_requested () =
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
-(* Run a subcommand body with telemetry enabled when requested; the trace
+(* Run a subcommand body with recording enabled when requested; the trace
    goes to stderr (diagnostics channel), the JSON snapshot to stdout
    (machine channel), whatever status the body returns.
 
-   Every report is emitted from the [Fun.protect] epilogue, so it runs on
-   any path that leaves the body by returning or raising — in particular
-   the budget-stop paths that return exit code 3: a timed-out chase still
-   yields its partial timeline and stats. (Corollary for command bodies:
-   return a status, never [Stdlib.exit], which skips finalizers.) *)
+   Every report is emitted after the body returns or raises — in
+   particular on the budget-stop paths that return exit code 3: a
+   timed-out chase still yields its partial timeline and stats.
+   (Corollary for command bodies: return a status, never [Stdlib.exit],
+   which skips the reports.) An export that cannot be written is reported
+   on one line, the other reports are still emitted, and the status
+   becomes 2. *)
 let with_obs obs f =
-  let recording = obs.trace || obs.stats_json in
   let tracing = obs.trace_json <> None || obs.flame <> None in
-  if recording then Telemetry.enable ();
-  (* --stats-json implies the v6 histograms/memory blocks; the timeline
-     ring only runs when an export asked for it *)
-  if recording || tracing then Metrics.enable ();
-  if tracing then Events.enable ();
+  let recording = obs.trace || obs.stats_json || tracing in
+  (* the timeline ring (65536 events) only runs for an export *)
+  if recording then
+    Telemetry.enable ?timeline:(if tracing then Some 65536 else None) ();
   if obs.provenance then Provenance.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      let scrub = scrub_times_requested () in
-      if tracing then begin
-        let snap = Events.snapshot () in
-        Events.disable ();
-        let snap = if scrub then Events.scrub_times snap else snap in
-        Option.iter
-          (fun path ->
-            write_out path (Trace_export.chrome_json snap ^ "\n"))
-          obs.trace_json;
-        Option.iter
-          (fun path -> write_out path (Trace_export.folded snap))
-          obs.flame
-      end;
-      let metrics =
-        if recording || tracing then begin
-          (* span exits sample the memory gauges at most once per ms *)
-          Metrics.sample_memory ();
-          let m = Metrics.snapshot () in
-          Metrics.disable ();
-          Some (if scrub then Metrics.scrub m else m)
-        end
-        else None
-      in
-      (* snapshot while the provenance store is still live: the stats-json
-         provenance object reads the ambient store *)
-      if recording then begin
-        let snap = Telemetry.snapshot () in
-        Telemetry.disable ();
-        let snap = if scrub then Telemetry.scrub_times snap else snap in
-        if obs.trace then Fmt.epr "%a@." Telemetry.pp_snapshot snap;
-        if obs.stats_json then
-          Fmt.pr "%s@."
-            (Json.to_string
-               (Nca_analysis.Obs_report.of_snapshot ?metrics snap))
-      end;
-      if obs.provenance then Provenance.disable ())
-    f
+  let export path content =
+    match write_out path content with
+    | () -> true
+    | exception Sys_error reason ->
+        Fmt.epr "nocliques: %s@." reason;
+        false
+  in
+  let report () =
+    (* a last sample: span exits take one at most once per ms *)
+    Telemetry.sample_memory ();
+    let snap = Telemetry.snapshot () in
+    Telemetry.disable ();
+    let snap =
+      if scrub_times_requested () then Telemetry.scrub snap else snap
+    in
+    let json_ok =
+      Option.fold ~none:true obs.trace_json ~some:(fun path ->
+          export path (Trace_export.chrome_json snap.timeline ^ "\n"))
+    in
+    let flame_ok =
+      Option.fold ~none:true obs.flame ~some:(fun path ->
+          export path (Trace_export.folded snap.timeline))
+    in
+    if obs.trace then Fmt.epr "%a@." Telemetry.pp_snapshot snap;
+    (* rendered while the provenance store is still live: the stats-json
+       provenance object reads the ambient store *)
+    if obs.stats_json then
+      Fmt.pr "%s@."
+        (Json.to_string (Nca_analysis.Obs_report.of_snapshot snap));
+    if obs.provenance then Provenance.disable ();
+    json_ok && flame_ok
+  in
+  match f () with
+  | status -> if report () then status else 2
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (report () : bool);
+      Printexc.raise_with_backtrace e bt
 
 (* A wall-clock or cancellation stop is a failure to reach a verdict and
    gets the dedicated exit status; structural stops (depth/atoms/rounds…)

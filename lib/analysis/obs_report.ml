@@ -74,9 +74,7 @@ let memory_json (s : Nca_obs.Metrics.snapshot) =
        s.Nca_obs.Metrics.gauges)
 
 let of_snapshot ?metrics (snap : Nca_obs.Telemetry.snapshot) =
-  let metrics =
-    match metrics with Some m -> m | None -> Nca_obs.Metrics.snapshot ()
-  in
+  let metrics = Option.value metrics ~default:snap.metrics in
   Json.Obj
     [
       ("schema", Json.String schema);

@@ -36,9 +36,9 @@
     entry per {!Nca_obs.Metrics.Histo} — log₂-bucketed, so [p50]/
     [p90]/[p99] are bucket upper bounds clamped to the observed max)
     and the [memory] object (gauges sampled at span exits:
-    [Gc.quick_stat] words plus whatever probes the CLI registered —
+    GC words plus whatever probes the CLI registered —
     interned-name bytes, hash-cons occupancy). Both are [{}] when
-    metrics recording was off. *)
+    recording was off. *)
 
 val schema : string
 (** ["nocliques/stats/v6"]. *)
@@ -48,6 +48,7 @@ val of_snapshot :
 (** Counters as one object (sorted by name, as in the snapshot), the
     plan-cache and provenance counters read off the ambient stores, the
     constant [parallel] block, spans as a recursive array in
-    first-seen order. [?metrics] defaults to the ambient
-    {!Nca_obs.Metrics} snapshot; pass one explicitly to render
-    a frozen (or scrubbed) store. *)
+    first-seen order, histograms and gauges from [?metrics], which
+    defaults to the snapshot's own [metrics]. ([perfbench/driver]
+    passes [~metrics]; the argument goes with the next benchmark
+    change.) *)

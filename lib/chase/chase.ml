@@ -61,14 +61,13 @@ let run ?(variant = Oblivious) ?max_depth ?max_atoms
     in
     match stop with
     | Some _ ->
-        Nca_obs.Events.instant ev_stop;
+        Nca_obs.Telemetry.instant ev_stop;
         finish current levels_rev stamps prov ~saturated:false ~stopped:stop
     | None -> (
-        Nca_obs.Events.instant ev_round ~arg:level;
-        let mt = Nca_obs.Metrics.enabled () in
-        let t0 = if mt then Nca_obs.Events.now_us () else 0 in
+        Nca_obs.Telemetry.instant ev_round ~arg:level;
         let round =
-          Nca_obs.Telemetry.span "chase.round" @@ fun () ->
+          Nca_obs.Telemetry.span ~histo:"chase.round_us" "chase.round"
+          @@ fun () ->
           (* Each trigger is filtered and merged as it is enumerated: the
              enumeration reads only the round's snapshots ([current],
              [delta] and their difference), creates no atom or null, and
@@ -146,18 +145,14 @@ let run ?(variant = Oblivious) ?max_depth ?max_atoms
           if !ntr = 0 then `Saturated
           else begin
             let (next, delta'), stamps, prov = !acc in
-            if Nca_obs.Telemetry.enabled () || Nca_obs.Metrics.enabled ()
-            then begin
+            if Nca_obs.Telemetry.enabled () then begin
               Nca_obs.Telemetry.count "chase.triggers" !ntr;
               Nca_obs.Telemetry.count "chase.atoms" (Instance.cardinal delta');
-              Nca_obs.Metrics.observe "chase.trigger_batch" !ntr
+              Nca_obs.Telemetry.observe "chase.trigger_batch" !ntr
             end;
             `Round (next, delta', stamps, prov)
           end
         in
-        if mt then
-          Nca_obs.Metrics.observe "chase.round_us"
-            (Nca_obs.Events.now_us () - t0);
         match round with
         | `Saturated ->
             finish current levels_rev stamps prov ~saturated:true

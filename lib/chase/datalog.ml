@@ -98,19 +98,14 @@ let saturate_steps ~budget start rules =
       in
       match stop with
       | Some err ->
-          Nca_obs.Events.instant ev_stop;
+          Nca_obs.Telemetry.instant ev_stop;
           Error { err; partial = total; rounds = n }
       | None ->
-          Nca_obs.Events.instant ev_round ~arg:n;
-          let mt = Nca_obs.Metrics.enabled () in
-          let t0 = if mt then Nca_obs.Events.now_us () else 0 in
+          Nca_obs.Telemetry.instant ev_round ~arg:n;
           let fresh =
-            Nca_obs.Telemetry.span "datalog.round" (fun () ->
-                round ~round_no:(n + 1) rules ~total ~delta)
+            Nca_obs.Telemetry.span ~histo:"datalog.round_us" "datalog.round"
+              (fun () -> round ~round_no:(n + 1) rules ~total ~delta)
           in
-          if mt then
-            Nca_obs.Metrics.observe "datalog.round_us"
-              (Nca_obs.Events.now_us () - t0);
           Nca_obs.Telemetry.count "datalog.atoms" (Instance.cardinal fresh);
           go (Instance.union total fresh) fresh (n + 1)
   in

@@ -126,7 +126,7 @@ let search_dfs ~budget ~domain ?forbid start rules =
       | exception Stop e -> Exhausted e
   in
   Nca_obs.Telemetry.count "finite_model.nodes" !steps;
-  Nca_obs.Events.instant ev_dfs ~arg:!steps;
+  Nca_obs.Telemetry.instant ev_dfs ~arg:!steps;
   outcome
 
 module Sat_engine = Nca_sat.Fm_inst.Make (Nca_sat.Dpll)

@@ -27,7 +27,7 @@ let find_or_compile ?stats body =
   | None ->
       incr misses;
       Telemetry.incr "plan.cache.miss";
-      Nca_obs.Events.instant ev_miss;
+      Telemetry.instant ev_miss;
       let plan =
         Telemetry.span "plan.compile" (fun () -> Plan.compile ?stats body)
       in

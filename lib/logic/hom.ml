@@ -69,10 +69,10 @@ let flush ~probes ~inters ~matched =
     Telemetry.incr "plan.exec";
     Telemetry.count "plan.probes" probes;
     Telemetry.count "plan.intersections" inters;
-    Telemetry.count "plan.matches" matched
-  end;
-  (* per-execution probe fan-out distribution, not just the total *)
-  Nca_obs.Metrics.observe "plan.probe_fanout" probes
+    Telemetry.count "plan.matches" matched;
+    (* per-execution probe fan-out distribution, not just the total *)
+    Telemetry.observe "plan.probe_fanout" probes
+  end
 
 (* One search in flight. The substitution under construction is
    maintained incrementally — one [Subst.add] per bind, shared across

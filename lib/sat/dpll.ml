@@ -334,7 +334,7 @@ let solve ?(budget = Budget.unlimited) s =
           if !conflicts_since >= !restart_limit then begin
             conflicts_since := 0;
             restart_limit := !restart_limit * 2;
-            Nca_obs.Events.instant ev_restart ~arg:s.conflicts;
+            Nca_obs.Telemetry.instant ev_restart ~arg:s.conflicts;
             backjump s 0
           end
         end

@@ -5,7 +5,6 @@
 open Nca_logic
 module Budget = Nca_obs.Budget
 module Telemetry = Nca_obs.Telemetry
-module Metrics = Nca_obs.Metrics
 module Events = Nca_obs.Events
 module Lit = Solver_intf.Lit
 
@@ -219,16 +218,11 @@ module Make (S : Solver_intf.S) = struct
     (st.Solver_intf.vars, st.Solver_intf.clauses)
 
   let solve_inst ?budget inst =
-    let mt = Metrics.enabled () in
-    let t0 = if mt then Events.now_us () else 0 in
-    let outcome =
-      match S.solve ?budget inst.solver with
-      | Solver_intf.Sat -> `Sat (decode inst)
-      | Solver_intf.Unsat -> `Unsat
-      | Solver_intf.Unknown e -> `Unknown e
-    in
-    if mt then Metrics.observe "sat.solve_us" (Events.now_us () - t0);
-    outcome
+    Telemetry.timed "sat.solve_us" @@ fun () ->
+    match S.solve ?budget inst.solver with
+    | Solver_intf.Sat -> `Sat (decode inst)
+    | Solver_intf.Unsat -> `Unsat
+    | Solver_intf.Unknown e -> `Unknown e
 
   let take k l = List.filteri (fun i _ -> i < k) l
 
@@ -250,7 +244,7 @@ module Make (S : Solver_intf.S) = struct
     let rec deepen k =
       if k > List.length fresh then No_model
       else
-        let () = Events.instant ev_deepen ~arg:k in
+        let () = Telemetry.instant ev_deepen ~arg:k in
         let sym_break = take k fresh in
         let domain = base @ sym_break @ consts in
         let round_budget = { budget with Budget.max_steps = !steps_left } in

@@ -256,8 +256,8 @@ let test_span_nesting () =
       | _ -> Alcotest.fail "expected one (accumulated) child span")
   | _ -> Alcotest.fail "expected one top-level span"
 
-(* The --stats-json shape is versioned; this golden pins it ([scrub_times]
-   zeroes the only nondeterministic field). *)
+(* The --stats-json shape is versioned; this golden pins it ([scrub]
+   zeroes the nondeterministic fields). *)
 let test_stats_json_golden () =
   let json =
     with_telemetry @@ fun () ->
@@ -269,7 +269,7 @@ let test_stats_json_golden () =
     Nca_sat.Stats.reset ();
     ignore (Datalog.closure (Parser.instance "E(a,b)") tc_rules);
     Nca_analysis.Obs_report.of_snapshot
-      (Telemetry.scrub_times (Telemetry.snapshot ()))
+      (Telemetry.scrub (Telemetry.snapshot ()))
   in
   check_str "stats json shape"
     "{\"schema\":\"nocliques/stats/v6\",\
@@ -282,7 +282,13 @@ let test_stats_json_golden () =
      \"decisions\":0,\"conflicts\":0,\"propagations\":0},\
      \"parallel\":{\"jobs\":1,\"batches\":0,\"domains\":[]},\
      \"provenance\":{\"facts\":0,\"store_bytes\":0,\"max_depth\":0},\
-     \"histograms\":{},\"memory\":{},\
+     \"histograms\":{\"datalog.round_us\":{\"count\":1,\"sum\":0,\"max\":0,\
+     \"p50\":0,\"p90\":0,\"p99\":0},\
+     \"plan.probe_fanout\":{\"count\":2,\"sum\":0,\"max\":0,\
+     \"p50\":0,\"p90\":0,\"p99\":0}},\
+     \"memory\":{\"gc.heap_words\":{\"last\":0,\"max\":0},\
+     \"gc.major_words\":{\"last\":0,\"max\":0},\
+     \"gc.minor_words\":{\"last\":0,\"max\":0}},\
      \"spans\":[{\"name\":\"datalog.saturate\",\"calls\":1,\"time_us\":0,\
      \"children\":[{\"name\":\"datalog.round\",\"calls\":1,\"time_us\":0,\
      \"children\":[{\"name\":\"plan.compile\",\"calls\":1,\"time_us\":0,\
@@ -324,13 +330,13 @@ let prop_ring_wraparound =
     ~count:100
     QCheck.(int_range 0 (3 * ring_cap))
     (fun n ->
-      Events.enable ~capacity:ring_cap ();
+      Telemetry.enable ~timeline:ring_cap ();
       let lbl = Events.label "test.ring" in
       for i = 0 to n - 1 do
-        Events.instant ~arg:i lbl
+        Telemetry.instant ~arg:i lbl
       done;
-      let snap = Events.snapshot () in
-      Events.disable ();
+      let snap = (Telemetry.snapshot ()).timeline in
+      Telemetry.disable ();
       let kept = min n ring_cap in
       snap.Events.dropped = max 0 (n - ring_cap)
       && List.length snap.Events.events = kept
@@ -372,14 +378,11 @@ let prop_histo_oracle =
 let assoc name fields = List.assoc_opt name fields
 
 let test_chrome_trace_shape () =
-  Events.enable ~capacity:64 ();
-  let l_span = Events.label "test.span"
-  and l_mark = Events.label "test.mark" in
-  Events.enter l_span;
-  Events.instant ~arg:7 l_mark;
-  Events.leave l_span;
-  let snap = Events.snapshot () in
-  Events.disable ();
+  Telemetry.enable ~timeline:64 ();
+  let l_mark = Events.label "test.mark" in
+  Telemetry.span "test.span" (fun () -> Telemetry.instant ~arg:7 l_mark);
+  let snap = (Telemetry.snapshot ()).timeline in
+  Telemetry.disable ();
   match Json.parse (Trace_export.chrome_json snap) with
   | Error e -> Alcotest.failf "trace JSON does not parse: %s" e
   | Ok (Json.Obj fields) ->

@@ -20,7 +20,6 @@ module Rulesets = Nca_core.Rulesets
 module Termination = Nca_analysis.Termination
 module Json = Nca_analysis.Json
 module Events = Nca_obs.Events
-module Metrics = Nca_obs.Metrics
 module Telemetry = Nca_obs.Telemetry
 module Trace_export = Nca_obs.Trace_export
 
@@ -150,11 +149,11 @@ let test_posting_memoised () =
 (* Observability stores *)
 
 let traced_chase () =
-  Events.enable ~capacity:4096 ();
+  Telemetry.enable ~timeline:4096 ();
   ignore (Chase.run ~max_depth:3 Rulesets.example1.instance
             Rulesets.example1.rules : Chase.t);
-  let snap = Events.snapshot () in
-  Events.disable ();
+  let snap = (Telemetry.snapshot ()).timeline in
+  Telemetry.disable ();
   snap
 
 let test_trace_single_track () =
@@ -191,15 +190,35 @@ let test_trace_balanced () =
   check_int "every Begin has its End" 0 depth
 
 let test_sampler_gauge () =
-  Metrics.enable ();
-  Metrics.register_sampler "seq.probe" (fun () -> 42);
-  Metrics.sample_memory ();
-  Metrics.register_sampler "seq.probe" (fun () -> 7);
-  Metrics.sample_memory ();
-  let snap = Metrics.snapshot () in
-  Metrics.disable ();
+  Telemetry.enable ();
+  Telemetry.register_sampler "seq.probe" (fun () -> 42);
+  Telemetry.sample_memory ();
+  Telemetry.register_sampler "seq.probe" (fun () -> 7);
+  Telemetry.sample_memory ();
+  let snap = Telemetry.snapshot () in
+  Telemetry.disable ();
   check "re-registered probe: last 7, max 42" true
-    (List.assoc_opt "seq.probe" snap.Metrics.gauges = Some (7, 42))
+    (List.assoc_opt "seq.probe" snap.metrics.gauges = Some (7, 42))
+
+(* The GC word gauges are current at the sample, not as of the last
+   collection: right after a minor collection, a small allocation that
+   cannot trigger another one must still show up in gc.minor_words. *)
+let test_gc_gauges_current () =
+  let minor_words () =
+    Telemetry.sample_memory ();
+    let gauges = (Telemetry.snapshot ()).metrics.gauges in
+    match List.assoc_opt "gc.minor_words" gauges with
+    | Some (last, _) -> last
+    | None -> Alcotest.fail "no gc.minor_words gauge"
+  in
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
+  Gc.minor ();
+  let before = minor_words () in
+  (* 5000 cons cells of 3 words each: far below the minor heap size *)
+  ignore (Sys.opaque_identity (List.init 5000 Fun.id) : int list);
+  let after = minor_words () in
+  check "gc.minor_words grew by the allocation" true (after - before >= 15000)
 
 let test_span_closes_on_exception () =
   Telemetry.enable ();
@@ -363,6 +382,7 @@ let () =
           tc "one trace track" test_trace_single_track;
           tc "balanced trace" test_trace_balanced;
           tc "sampler gauge" test_sampler_gauge;
+          tc "gc gauges current" test_gc_gauges_current;
           tc "span closes on exception" test_span_closes_on_exception;
         ] );
       ( "determinism",
