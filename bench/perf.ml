@@ -357,8 +357,8 @@ let provenance_workload (name, full, smoke_b) ~smoke =
    configuration every other row measures.
    speedup_x100 is the recording overhead (100 = free). The disabled
    path's no-op contract is guarded the other way round: these rows'
-   after_us, like every chase row, feeds `nocliques debug bench-diff`
-   against the committed baseline, so an instrumentation check that
+   after_us, like every chase row, feeds `bench/bench_diff.exe` against
+   the committed baseline, so an instrumentation check that
    leaks cost into the disabled path shows up as a plain regression. *)
 let obs_workload (name, full, smoke_b) ~smoke =
   let b = if smoke then smoke_b else full in
@@ -534,7 +534,7 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* Host metadata: lets bench-diff refuse to hard-fail a comparison
+(* Host metadata: lets bench_diff refuse to hard-fail a comparison
    across differing hosts, whose timings are not commensurable. *)
 let git_describe () =
   try
@@ -613,7 +613,7 @@ let rows ~smoke ~only =
   let fm_rows =
     (* one step budget for both engines per row; the interesting rows
        run the DFS side to its budget. The smoke run keeps every row (so
-       its bench-diff lists none as removed) at a tenth of the budget. *)
+       its bench_diff lists none as removed) at a tenth of the budget. *)
     let max_steps = if smoke then 50_000 else 500_000 in
     List.concat_map
       (fun name -> List.map (fun fresh -> (name, fresh, max_steps)) [ 2; 4; 8 ])
@@ -720,7 +720,7 @@ let run_all ~smoke ~only =
            provenance, obs, plan and fm rows); before_us/after_us are \
            the medians over the passes and before_iqr_us/after_iqr_us \
            their interquartile ranges, all in integer microseconds. \
-           `nocliques debug bench-diff` flags a row only when its \
+           `bench/bench_diff.exe` flags a row only when its \
            after_us median grew past the threshold and by more than the \
            two documents' after_iqr_us combined, and hard-fails only \
            between documents whose host blocks (cores, ocaml_version) \

@@ -149,6 +149,8 @@ let search_sat ~budget ~base ~fresh ?forbid start rules =
 
 let search ?(engine = Dfs) ?(fresh = 2) ?max_steps ?forbid
     ?(budget = Nca_obs.Budget.unlimited) start rules =
+  (* [fresh_constants] counts up to [fresh]: a negative count never ends *)
+  if fresh < 0 then invalid_arg "Finite_model.search: fresh < 0";
   let budget = effective_budget ?max_steps budget in
   let base =
     (* name order: both engines try domain elements in list order, so

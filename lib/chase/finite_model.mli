@@ -61,7 +61,7 @@ val search :
     bound at every step and deadline/cancellation every 256 steps
     ([engine] defaults to [Dfs]; both return the same verdicts on
     constant-free rule sets, see DESIGN.md for the rule-constant
-    caveat). *)
+    caveat). Raises [Invalid_argument] when [fresh < 0]. *)
 
 type verdict =
   | Exists  (** the bounded search found such a model *)

@@ -294,6 +294,13 @@ let test_forbid_respected () =
     (Finite_model.search ~forbid:q (Parser.instance "E(a,b)") []
     = Finite_model.No_model)
 
+let test_search_negative_fresh () =
+  Alcotest.check_raises "fresh < 0 is rejected"
+    (Invalid_argument "Finite_model.search: fresh < 0") (fun () ->
+      ignore
+        (Finite_model.search ~fresh:(-1) Rulesets.example1.instance
+           Rulesets.example1.rules))
+
 let test_search_empty_rules () =
   match Finite_model.search (Parser.instance "E(a,b)") [] with
   | Model m -> check "instance is its own model" true
@@ -417,6 +424,7 @@ let () =
           tc "symmetric loop-free" test_symmetric_has_loop_free_model;
           tc "forbid respected" test_forbid_respected;
           tc "empty rules" test_search_empty_rules;
+          tc "negative fresh rejected" test_search_negative_fresh;
           tc "successor cycle model" test_succ_only_needs_cycle;
         ] );
       ("qcheck", props);
