@@ -37,6 +37,17 @@ let count ?(min = 0) () =
   in
   Arg.conv (parse, Fmt.int)
 
+(* a non-negative float: a negative timeout is a usage error, not a
+   deadline already passed *)
+let seconds =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x >= 0. -> Ok x
+    | Some _ | None ->
+        Error (`Msg (Fmt.str "expected a number of seconds >= 0, got %S" s))
+  in
+  Arg.conv (parse, Fmt.float)
+
 let count_arg ?min names default ~doc =
   Arg.(value & opt (count ?min ()) default & info names ~docv:"N" ~doc)
 
@@ -107,7 +118,7 @@ let obs_term =
   let timeout_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some seconds) None
       & info [ "timeout" ] ~docv:"SECONDS"
           ~doc:
             "Wall-clock budget for the engines. On expiry the run stops at \
@@ -386,17 +397,12 @@ let finite_cmd =
   let engine_arg =
     Arg.(
       value
-      & opt (enum [ ("dfs", Commands.Dfs); ("sat", Commands.Sat) ]) Commands.Dfs
+      & opt (enum [ ("sat", ()) ]) ()
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Search engine: $(b,dfs) (depth-first completion, the \
-             differential oracle) or $(b,sat) (MACE-style grounding into \
-             the built-in incremental SAT backend, with iterative \
-             deepening over the fresh elements and symmetry breaking — \
-             scales to much larger domains, and its negatives are \
-             definitive UNSAT verdicts). Both observe the same budget; \
-             every model from either engine is re-verified independently \
-             before printing.")
+            "Accepted for script compatibility and otherwise ignored: the \
+             search always grounds into the built-in incremental SAT \
+             backend, so $(b,sat) is the only value.")
   in
   let witness_arg =
     path_arg [ "witness-json" ]
@@ -407,8 +413,8 @@ let finite_cmd =
   in
   recorded "finite" ~doc:"Search for a finite model (the finite side of fc)."
     Cterm.(
-      const (fun fresh edge forbid_loop engine witness _ _ ->
-          Commands.finite ~fresh ~edge ~forbid_loop ~engine ~witness)
+      const (fun fresh edge forbid_loop () witness _ _ ->
+          Commands.finite ~fresh ~edge ~forbid_loop ~witness)
       $ fresh_arg $ edge_arg $ forbid_arg $ engine_arg $ witness_arg)
 
 (* zoo *)

@@ -3,10 +3,11 @@
     Finite controllability compares entailment over all models with
     entailment over {e finite} models (Section 1). This module makes the
     finite side executable at small scale: given an instance [I], a rule
-    set [R] and a budget of extra domain elements, it searches for a
-    finite model of [I ∧ R] by depth-first completion — every unsatisfied
-    trigger is repaired by mapping the head's existential variables to
-    {e existing} domain elements, in all possible ways.
+    set [R] and a budget of extra domain elements, it looks for a finite
+    model of [I ∧ R] by MACE-style grounding into the {!Nca_sat} solver
+    seam, with iterative deepening over the number of fresh elements and
+    symmetry breaking between them. Every model is re-verified by
+    {!Fm_check} before it is returned.
 
     With [forbid] set to a (monotone) Boolean query, the search only
     returns models that do not satisfy it. Example 1's gap becomes a
@@ -16,13 +17,6 @@
 
 open Nca_logic
 
-val is_model : Instance.t -> Rule.t list -> bool
-(** No unsatisfied trigger: every body homomorphism extends to a head
-    homomorphism. *)
-
-val violations : Instance.t -> Rule.t list -> Trigger.t list
-(** The unsatisfied triggers. *)
-
 type outcome =
   | Model of Instance.t
   | No_model
@@ -31,15 +25,12 @@ type outcome =
   | Exhausted of Nca_obs.Exhausted.t
       (** a resource ran out before a verdict — which one, and where *)
 
-type engine =
-  | Dfs
-      (** the hand-rolled depth-first completion — the differential
-          oracle *)
-  | Sat
-      (** MACE-style grounding into the {!Nca_sat} solver seam, with
-          iterative deepening over the number of fresh elements and
-          symmetry breaking between them; every model is re-verified
-          independently of the solver before being returned *)
+(** {1 Pinned by perfbench}
+
+    [perfbench/driver] passes [~engine:Sat]; the type and the argument
+    go with the next change to the benchmark. *)
+
+type engine = Sat  (** the only engine; [?engine] is ignored *)
 
 val search :
   ?engine:engine ->
@@ -51,17 +42,19 @@ val search :
   Rule.t list ->
   outcome
 (** [search ~fresh ~forbid i rules] looks for a finite model of [i] and
-    [rules] over [adom i] plus [fresh] extra elements (default 2) that
-    does not satisfy [forbid]. The fresh elements are genuinely fresh
-    names (never interned before), so they cannot collide with [adom i].
+    [rules] over [adom i], the constants the rules mention, and up to
+    [fresh] extra elements (default 2), that does not satisfy [forbid].
+    The fresh elements are genuinely fresh names (never interned before),
+    so they cannot collide with [adom i].
 
     [max_steps] (default 200000) intersects with [budget] and bounds the
-    search steps — DFS candidates considered, or SAT solver decisions
-    summed across the deepening rounds. Both engines check the step
-    bound at every step and deadline/cancellation every 256 steps
-    ([engine] defaults to [Dfs]; both return the same verdicts on
-    constant-free rule sets, see DESIGN.md for the rule-constant
-    caveat). Raises [Invalid_argument] when [fresh < 0]. *)
+    solver decisions, summed across the deepening rounds. A step is a
+    decision, so a verdict that unit propagation alone reaches needs
+    none: [max_steps:0] still decides such a search. The step bound is
+    checked at every decision, the deadline and cancellation every 256
+    decisions and during grounding. Raises [Invalid_argument] when
+    [fresh < 0], and [Failure] if a model fails {!Fm_check.check} (an
+    engine bug, never a result). *)
 
 type verdict =
   | Exists  (** the bounded search found such a model *)
@@ -71,8 +64,7 @@ type verdict =
           exhausted search says nothing about the (bdd ⇒ fc) gap *)
 
 val loop_free_model_exists :
-  ?engine:engine -> ?fresh:int -> ?max_steps:int ->
-  ?budget:Nca_obs.Budget.t ->
+  ?fresh:int -> ?max_steps:int -> ?budget:Nca_obs.Budget.t ->
   e:Symbol.t -> Instance.t -> Rule.t list -> verdict
 (** Three-valued so budget exhaustion can never be read as a conclusive
     answer (the seed's [bool option] invited [<> Some true] checks that

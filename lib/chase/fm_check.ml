@@ -1,10 +1,19 @@
 open Nca_logic
 
+let violations inst rules =
+  List.filter
+    (fun tr ->
+      let init =
+        Subst.restrict (Rule.frontier tr.Trigger.rule) tr.Trigger.hom
+      in
+      not (Hom.exists ~init (Rule.head tr.Trigger.rule) inst))
+    (Trigger.all rules inst)
+
 let check ?forbid ~start ~rules m =
   if not (Instance.subset start m) then
     Error "the claimed model does not contain every start atom"
   else
-    match Finite_model.violations m rules with
+    match violations m rules with
     | tr :: _ ->
         Error
           (Fmt.str "unsatisfied trigger: rule %s under %a"

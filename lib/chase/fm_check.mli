@@ -1,15 +1,19 @@
 (** Independent re-verification of finite-model witnesses.
 
-    A model emitted by any {!Finite_model.engine} — in particular one
-    decoded from a SAT assignment — is only as trustworthy as the
-    encoder and solver that produced it. This checker replays the
-    claim with the generic machinery only (trigger enumeration over
+    A model decoded from a SAT assignment is only as trustworthy as the
+    encoder and solver that produced it. This checker replays the claim
+    with the generic machinery only (trigger enumeration over
     {!Nca_logic.Hom} and query satisfaction over {!Nca_logic.Cq}),
-    sharing no code with the grounding or the solver: the PR-5
-    certificate discipline applied to model witnesses. The CLI runs it
-    on every model before printing. *)
+    sharing no code with the grounding or the solver: the certificate
+    discipline applied to model witnesses.
+    {!Finite_model.search} runs it on every model it returns, and the
+    CLI once more before printing. *)
 
 open Nca_logic
+
+val violations : Instance.t -> Rule.t list -> Trigger.t list
+(** The unsatisfied triggers: body homomorphisms that do not extend to
+    a head homomorphism. *)
 
 val check :
   ?forbid:Cq.t ->

@@ -206,6 +206,25 @@ let explain ~fact ~depth ~max_atoms ~proofs (prog : Parser.program) =
     | Error reason ->
         raise (Usage (Fmt.str "cannot parse FACT %S: %s" fact reason))
   in
+  (* a FACT whose predicate the program uses at another arity can never
+     be in the chase: a usage error, not a failed lookup *)
+  let p = Atom.pred fact in
+  let signature =
+    Symbol.Set.union (Instance.signature prog.facts) (Rule.signature prog.rules)
+  in
+  let other_arities =
+    Symbol.Set.fold
+      (fun q acc ->
+        if Symbol.name q = Symbol.name p then Symbol.arity q :: acc else acc)
+      signature []
+  in
+  if other_arities <> [] && not (Symbol.Set.mem p signature) then
+    raise
+      (Usage
+         (Fmt.str "FACT %a has arity %d, but %s has arity %a in the program"
+            Atom.pp fact (Symbol.arity p) (Symbol.name p)
+            Fmt.(list ~sep:(any " and ") int)
+            (List.sort compare other_arities)));
   fun budget ->
     let c =
       Chase.run ~max_depth:depth ~max_atoms ~budget prog.facts prog.rules
@@ -441,18 +460,12 @@ let classify ~json ~depth ~max_atoms (prog : Parser.program) budget =
 
 (* finite *)
 
-type engine = Finite_model.engine = Dfs | Sat
-
-let witness_doc ~engine ~fresh ~forbid m =
+let witness_doc ~fresh ~forbid m =
   Json.to_string
     (Json.Obj
        [
          ("schema", Json.String "nocliques/fm-witness/v1");
-         ( "engine",
-           Json.String
-             (match engine with
-             | Finite_model.Dfs -> "dfs"
-             | Finite_model.Sat -> "sat") );
+         ("engine", Json.String "sat");
          ("fresh", Json.Int fresh);
          ( "forbid",
            match forbid with
@@ -471,13 +484,10 @@ let witness_doc ~engine ~fresh ~forbid m =
                 (Instance.sorted_atoms m)) );
        ])
 
-let finite ~fresh ~edge ~forbid_loop ~engine ~witness (prog : Parser.program)
-    budget =
+let finite ~fresh ~edge ~forbid_loop ~witness (prog : Parser.program) budget =
   let e = Symbol.make edge 2 in
   let forbid = if forbid_loop then Some (Cq.loop_query e) else None in
-  match
-    Finite_model.search ~engine ~fresh ?forbid ~budget prog.facts prog.rules
-  with
+  match Finite_model.search ~fresh ?forbid ~budget prog.facts prog.rules with
   | Model m -> (
       (* every emitted model goes through the independent checker first:
          a witness the replay rejects is an engine bug, not a result *)
@@ -498,7 +508,7 @@ let finite ~fresh ~edge ~forbid_loop ~engine ~witness (prog : Parser.program)
           written
             (Option.to_list
                (artefact witness (fun () ->
-                    witness_doc ~engine ~fresh ~forbid m ^ "\n"))))
+                    witness_doc ~fresh ~forbid m ^ "\n"))))
   | No_model ->
       (* a completed search: a definitive negative, not an exhaustion *)
       Fmt.pr

@@ -33,7 +33,8 @@ val explain :
   Epilogue.outcome
 (** The derivation DAG of [fact], as the chase prints it (nulls as
     [_:n<k>]); needs provenance recording. Raises {!Epilogue.Usage} on
-    a malformed [fact]. *)
+    a malformed [fact], and on one whose predicate the program uses
+    only at other arities. *)
 
 val rewrite :
   file:string ->
@@ -112,13 +113,10 @@ val classify :
 (** The chase-termination verdict, re-checked: 0 terminating, 1
     diverging or a rejected certificate, 3 inconclusive. *)
 
-type engine = Nca_chase.Finite_model.engine = Dfs | Sat
-
 val finite :
   fresh:int ->
   edge:string ->
   forbid_loop:bool ->
-  engine:engine ->
   witness:string option ->
   Parser.program ->
   Nca_obs.Budget.t ->

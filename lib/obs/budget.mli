@@ -20,7 +20,7 @@ type t = {
   max_depth : int option;  (** chase levels *)
   max_rounds : int option;  (** saturation / rewriting rounds *)
   max_atoms : int option;  (** instance size *)
-  max_steps : int option;  (** DFS nodes / generated CQs *)
+  max_steps : int option;  (** SAT solver decisions / generated CQs *)
   max_disjuncts : int option;  (** UCQ size *)
   cancel : (unit -> bool) option;  (** cooperative cancellation *)
 }

@@ -1,7 +1,7 @@
 (** Typed exhaustion verdicts.
 
     Every engine bound in the toolkit — chase depth, saturation rounds,
-    atom counts, rewrite steps, finite-model search nodes, wall-clock
+    atom counts, rewrite steps, finite-model solver decisions, wall-clock
     deadlines, cooperative cancellation — reports running out through one
     value of this type, instead of the seed's mix of exceptions,
     [truncated] flags and silent [None]s. A verdict says {e which}
@@ -15,7 +15,7 @@ type resource =
   | Depth  (** chase levels ([used >= limit] stops) *)
   | Rounds  (** saturation / rewriting rounds *)
   | Atoms  (** instance size *)
-  | Steps  (** generic step count (DFS nodes, generated CQs) *)
+  | Steps  (** generic step count (SAT solver decisions, generated CQs) *)
   | Disjuncts  (** UCQ size during rewriting *)
 
 type t = {

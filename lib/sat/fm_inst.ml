@@ -18,8 +18,7 @@ type outcome =
 exception Stop of Nca_obs.Exhausted.t
 
 (* All substitutions of [vars] over [domain], lazily, lexicographic in
-   [vars] (outermost) and [domain] list order — the same order the DFS
-   explores, so the two engines are comparable candidate by candidate. *)
+   [vars] (outermost) and [domain] list order. *)
 let assignments vars domain =
   List.fold_left
     (fun partial x ->
@@ -41,7 +40,7 @@ let tuples arity domain =
 
 (* Constants occurring in the rules but not already in [domain]: rule
    heads can introduce them into any model, so the ground universe must
-   close over them (the DFS reaches them the same way). *)
+   close over them. *)
 let rule_constants ~domain rules =
   let in_domain t = List.exists (Term.equal t) domain in
   let scan acc atoms =

@@ -36,8 +36,10 @@ exception Stop of Nca_obs.Exhausted.t
 
 val assignments : Term.t list -> Term.t list -> Subst.t Seq.t
 (** All substitutions of the variables over the domain, lazily,
-    lexicographic in variable then domain list order. (Shared with the
-    DFS engine so both explore candidates in the same order.) *)
+    lexicographic in variable then domain list order. The grounding
+    enumerates body and existential instantiations with it; the test
+    oracle's depth-first completion tries its candidates in the same
+    order. *)
 
 val rule_constants : domain:Term.t list -> Rule.t list -> Term.t list
 (** Constants occurring in the rules but not in [domain], in name

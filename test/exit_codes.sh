@@ -47,6 +47,12 @@ row 2 - rewrite example1 --rounds=-1
 row 2 - surgery example1 --rounds=-1
 row 2 - lint example1 --max-warnings=-1
 row 2 - chase example1 --jobs 0
+row 2 - chase example1 --timeout=-1
+# a FACT at the wrong arity is a usage error; a fact not derived fails
+row 2 - explain example1 E
+row 1 - explain example1 'E(a,z)'
+# sat is the only finite-model engine
+row 2 - finite example1 --engine dfs
 # cmdliner's own usage errors exit 2, not 124
 row 2 - chase example1 -d -1
 row 2 - nosuch-subcommand

@@ -6,6 +6,7 @@ open Nca_logic
 module Chase = Nca_chase.Chase
 module Acyclicity = Nca_chase.Acyclicity
 module Finite_model = Nca_chase.Finite_model
+module Fm_check = Nca_chase.Fm_check
 module Classes = Nca_surgery.Classes
 module Rulesets = Nca_core.Rulesets
 
@@ -236,27 +237,30 @@ let test_restricted_loop_detection_agrees () =
 (* ------------------------------------------------------------------ *)
 (* Finite models *)
 
+(* [m] is a model of [start] and [rules] *)
+let is_model ?(start = Instance.empty) m rules =
+  Fm_check.check ~start ~rules m = Ok ()
+
 let test_is_model () =
   let rules = Parser.parse_rules "sym: E(x,y) -> E(y,x)." in
   check "asymmetric edge is no model" false
-    (Finite_model.is_model (Parser.instance "E(a,b)") rules);
+    (is_model (Parser.instance "E(a,b)") rules);
   check "symmetric pair is" true
-    (Finite_model.is_model (Parser.instance "E(a,b), E(b,a)") rules)
+    (is_model (Parser.instance "E(a,b), E(b,a)") rules)
 
 let test_violations () =
   let rules = Parser.parse_rules "sym: E(x,y) -> E(y,x)." in
   check_int "one violation" 1
-    (List.length (Finite_model.violations (Parser.instance "E(a,b)") rules));
+    (List.length (Fm_check.violations (Parser.instance "E(a,b)") rules));
   check_int "none on a model" 0
-    (List.length
-       (Finite_model.violations (Parser.instance "E(a,a)") rules))
+    (List.length (Fm_check.violations (Parser.instance "E(a,a)") rules))
 
 let test_search_finds_model () =
   let entry = Rulesets.example1 in
   match Finite_model.search ~fresh:1 entry.instance entry.rules with
   | Model m ->
       check "search result is a model" true
-        (Finite_model.is_model m entry.rules);
+        (is_model ~start:entry.instance m entry.rules);
       check "the model has a loop" true (Cq.holds m (Cq.loop_query e2))
   | No_model | Exhausted _ -> Alcotest.fail "expected a finite model"
 
@@ -364,7 +368,7 @@ let prop_model_search_sound =
       QCheck.assume (rules <> []);
       let i = Parser.instance "E(c0,c1)" in
       match Finite_model.search ~fresh:1 ~max_steps:50000 i rules with
-      | Model m -> Finite_model.is_model m rules && Instance.subset i m
+      | Model m -> is_model ~start:i m rules
       | No_model | Exhausted _ -> true)
 
 let props =

@@ -138,15 +138,36 @@ let test_datalog_wall_clock_verdict () =
       check "partial is the input (no round ran)" true
         (Instance.equal partial (chain 4))
 
-let test_finite_model_unknown () =
-  match
-    Finite_model.loop_free_model_exists ~fresh:1 ~max_steps:0
-      ~e:(Symbol.make "E" 2) example1.instance example1.rules
-  with
+let expect_steps name = function
   | Finite_model.Unknown e ->
-      check "steps resource" true (e.Exhausted.resource = Exhausted.Steps)
+      check (name ^ ": steps resource") true
+        (e.Exhausted.resource = Exhausted.Steps)
   | Finite_model.Exists | Finite_model.Absent ->
-      Alcotest.fail "0 steps cannot be conclusive"
+      Alcotest.fail (name ^ ": 0 steps cannot be conclusive")
+
+let test_finite_model_unknown () =
+  let e = Symbol.make "E" 2 in
+  (* a depth-first step is a search node: the root already needs one *)
+  expect_steps "dfs +1"
+    (Nca_oracle.Fm_dfs.loop_free_model_exists ~fresh:1 ~max_steps:0 ~e
+       example1.instance example1.rules);
+  (* a SAT step is a decision: +2 cannot be refuted by propagation *)
+  expect_steps "sat +2"
+    (Finite_model.loop_free_model_exists ~fresh:2 ~max_steps:0 ~e
+       example1.instance example1.rules)
+
+let test_finite_model_zero_decisions () =
+  (* unit propagation alone settles these: a verdict that takes no
+     decision is within a 0-step budget *)
+  let e = Symbol.make "E" 2 in
+  check "example1 +1 absent" true
+    (Finite_model.loop_free_model_exists ~fresh:1 ~max_steps:0 ~e
+       example1.instance example1.rules
+    = Finite_model.Absent);
+  check "succ_only +1 exists" true
+    (Finite_model.loop_free_model_exists ~fresh:1 ~max_steps:0 ~e
+       Rulesets.succ_only.instance Rulesets.succ_only.rules
+    = Finite_model.Exists)
 
 let test_rewrite_stopped_verdict () =
   let q = Cq.atom_query (Symbol.make "E" 2) in
@@ -448,6 +469,8 @@ let () =
           tc "datalog rounds" `Quick test_datalog_rounds_verdict;
           tc "datalog wall clock" `Quick test_datalog_wall_clock_verdict;
           tc "finite-model unknown" `Quick test_finite_model_unknown;
+          tc "finite-model zero decisions" `Quick
+            test_finite_model_zero_decisions;
           tc "rewrite stopped" `Quick test_rewrite_stopped_verdict;
         ] );
       ("prefix", props);

@@ -1,6 +1,7 @@
 (* Tests for the SAT-backed finite-model engine: the pure-OCaml DPLL
    backend, the MACE-style grounding functor, the independent witness
-   checker, and the SAT ≡ DFS differential properties. *)
+   checker, and the SAT ≡ DFS differential properties against the
+   oracle's depth-first completion. *)
 
 open Nca_logic
 module Lit = Nca_sat.Solver_intf.Lit
@@ -9,6 +10,7 @@ module Fm_inst = Nca_sat.Fm_inst
 module Fm = Nca_sat.Fm_inst.Make (Nca_sat.Dpll)
 module Finite_model = Nca_chase.Finite_model
 module Fm_check = Nca_chase.Fm_check
+module Fm_dfs = Nca_oracle.Fm_dfs
 module Rulesets = Nca_core.Rulesets
 module Budget = Nca_obs.Budget
 
@@ -168,7 +170,7 @@ let test_sat_search_finds_model () =
     (fun name ->
       let entry = Rulesets.find name in
       match
-        Finite_model.search ~engine:Sat ~fresh:1 entry.Rulesets.instance
+        Finite_model.search ~fresh:1 entry.Rulesets.instance
           entry.Rulesets.rules
       with
       | Finite_model.Model m ->
@@ -187,7 +189,7 @@ let test_sat_example1_no_loop_free_model () =
       check
         (Fmt.str "example1 loop-free absent at +%d" fresh)
         true
-        (Finite_model.loop_free_model_exists ~engine:Sat ~fresh ~e:e2
+        (Finite_model.loop_free_model_exists ~fresh ~e:e2
            entry.Rulesets.instance entry.Rulesets.rules
         = Finite_model.Absent))
     [ 0; 1; 2; 4 ]
@@ -195,7 +197,7 @@ let test_sat_example1_no_loop_free_model () =
 let test_sat_respects_budget () =
   let entry = Rulesets.find "example1" in
   match
-    Finite_model.search ~engine:Sat ~fresh:6 ~max_steps:1
+    Finite_model.search ~fresh:6 ~max_steps:1
       ~forbid:(Cq.loop_query e2) entry.Rulesets.instance entry.Rulesets.rules
   with
   | Finite_model.Exhausted e ->
@@ -235,13 +237,18 @@ let test_fresh_names_no_collision () =
     Cq.boolean [ Atom.make e2 [ x; y ]; Atom.make e2 [ y; x ] ]
   in
   List.iter
-    (fun engine ->
-      match Finite_model.search ~engine ~fresh:2 ~forbid start rules with
+    (fun (engine, outcome) ->
+      match outcome with
       | Finite_model.Model m ->
-          check "model checks" true
+          check (engine ^ ": model checks") true
             (Fm_check.check ~forbid ~start ~rules m = Ok ())
-      | _ -> Alcotest.fail "expected a 3-cycle model over the fresh elements")
-    [ Finite_model.Dfs; Finite_model.Sat ]
+      | _ ->
+          Alcotest.failf "%s: expected a 3-cycle model over the fresh elements"
+            engine)
+    [
+      ("dfs", Fm_dfs.search ~fresh:2 ~forbid start rules);
+      ("sat", Finite_model.search ~fresh:2 ~forbid start rules);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential: SAT ≡ DFS *)
@@ -266,8 +273,8 @@ let verdicts_agree name dfs sat =
         | Finite_model.Exhausted _ -> "exhausted")
 
 let differential ?forbid ~fresh name start rules =
-  let dfs = Finite_model.search ~engine:Dfs ~fresh ?forbid start rules in
-  let sat = Finite_model.search ~engine:Sat ~fresh ?forbid start rules in
+  let dfs = Fm_dfs.search ~fresh ?forbid start rules in
+  let sat = Finite_model.search ~fresh ?forbid start rules in
   check (name ^ ": verdicts agree") true (verdicts_agree name dfs sat);
   match sat with
   | Finite_model.Model m ->
