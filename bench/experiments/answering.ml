@@ -1,4 +1,5 @@
 open Nca_logic
+module Rewrite = Nca_rewriting.Rewrite
 
 let database_tuple adom tuple = List.for_all (fun t -> Term.Set.mem t adom) tuple
 

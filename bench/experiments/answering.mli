@@ -38,7 +38,7 @@ val methods_agree :
 
 val rewrite_composed :
   ?max_rounds:int -> ?max_disjuncts:int -> ?budget:Nca_obs.Budget.t ->
-  Rule.t list -> Rule.t list -> Cq.t -> Rewrite.outcome
+  Rule.t list -> Rule.t list -> Cq.t -> Nca_rewriting.Rewrite.outcome
 (** Lemma 5: rewrite against [r2], then rewrite the result against [r1] —
     a rewriting for [r1 ∪ r2] whenever the chases commute
     ([Ch(Ch(I,R₁),R₂) ↔ Ch(I,R₁∪R₂)]). *)

@@ -1,3 +1,5 @@
+open Nca_graph
+
 module G = Digraph.Term_graph
 
 let neighbors g v = G.undirected_neighbors v g

@@ -12,6 +12,8 @@
     greedy upper bound and an exact small-k decision procedure, enough to
     chart chromatic growth of chase prefixes. *)
 
+open Nca_graph
+
 val greedy_chromatic : Digraph.Term_graph.t -> int option
 (** Largest-first greedy coloring of the orientation closure; an upper
     bound on the chromatic number. [None] when the graph has a loop. *)

@@ -18,7 +18,7 @@ let series ?(max_depth = 5) ?(max_atoms = 10000) ~e i rules =
         level;
         atoms = Instance.cardinal inst;
         tournament = Nca_graph.Tournament.max_tournament_size g;
-        chromatic = Nca_graph.Coloring.chromatic_number ~max_k:12 g;
+        chromatic = Coloring.chromatic_number ~max_k:12 g;
         loop = Cq.holds inst loop_q;
       })
     chase.Nca_chase.Chase.levels

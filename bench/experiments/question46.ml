@@ -1,4 +1,5 @@
 open Nca_logic
+open Nca_core
 
 type audit = {
   name : string;

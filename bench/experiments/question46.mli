@@ -19,7 +19,7 @@ type audit = {
 }
 
 val audit :
-  ?depth:int -> ?max_rounds:int -> Rulesets.entry -> audit
+  ?depth:int -> ?max_rounds:int -> Nca_core.Rulesets.entry -> audit
 (** Regalize, rewrite, chase, measure. The Ramsey bound is astronomically
     large for more than a few disjuncts; it is capped at [max_int / 2]
     and [within_bound] is then trivially true — which is precisely the

@@ -1,4 +1,5 @@
 open Nca_logic
+open Nca_graph
 module G = Digraph.Term_graph
 
 let vertex i = Term.cst (Fmt.str "t%d" i)

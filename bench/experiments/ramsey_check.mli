@@ -8,6 +8,8 @@
     monochromatic 3-tournament. This is the experimental counterpart of
     the Ramsey step in Proposition 41. *)
 
+open Nca_graph
+
 val random_tournament : seed:int -> size:int -> Digraph.Term_graph.t
 (** A uniformly-oriented random tournament on [size] vertices
     (deterministic in [seed]); each pair gets exactly one direction. *)

@@ -4,6 +4,8 @@
    Usage:
      main.exe             run everything
      main.exe t3 f1       run selected experiments
+
+   An unknown name runs nothing and exits 2.
 *)
 
 open Nca_logic
@@ -17,7 +19,11 @@ module Rulesets = Nca_core.Rulesets
 module Theorem1 = Nca_core.Theorem1
 module Witness = Nca_core.Witness
 module Valley = Nca_core.Valley
-module Tabular = Nca_core.Tabular
+module Tabular = Nca_experiments.Tabular
+module Answering = Nca_experiments.Answering
+module Question46 = Nca_experiments.Question46
+module Conjecture44 = Nca_experiments.Conjecture44
+module Ramsey_check = Nca_experiments.Ramsey_check
 module Tournament = Nca_graph.Tournament
 module Ramsey = Nca_graph.Ramsey
 
@@ -267,11 +273,11 @@ let t11 () =
         in
         let t0 = Unix.gettimeofday () in
         let forward =
-          Nca_rewriting.Answering.answers_via_chase ~depth:3 rules db q
+          Answering.answers_via_chase ~depth:3 rules db q
         in
         let t1 = Unix.gettimeofday () in
         let backward =
-          Nca_rewriting.Answering.answers_via_rewriting rules db q
+          Answering.answers_via_rewriting rules db q
         in
         let t2 = Unix.gettimeofday () in
         [
@@ -487,9 +493,9 @@ let t10 () =
     List.map
       (fun name ->
         let entry = Rulesets.find name in
-        let a = Nca_core.Question46.audit ~depth:4 entry in
+        let a = Question46.audit ~depth:4 entry in
         [
-          a.Nca_core.Question46.name;
+          a.Question46.name;
           yesno a.bdd;
           yesno a.loop;
           string_of_int a.max_tournament;
@@ -551,16 +557,16 @@ let f4 () =
       (fun name ->
         let entry = Rulesets.find name in
         let points =
-          Nca_core.Conjecture44.series ~max_depth:4 ~e:entry.e entry.instance
+          Conjecture44.series ~max_depth:4 ~e:entry.e entry.instance
             entry.rules
         in
         let verdict =
-          match Nca_core.Conjecture44.verdict points with
+          match Conjecture44.verdict points with
           | `Consistent -> "consistent"
           | `Suspicious _ -> "suspicious"
         in
         List.map
-          (fun (p : Nca_core.Conjecture44.point) ->
+          (fun (p : Conjecture44.point) ->
             [
               name;
               string_of_int p.level;
@@ -594,7 +600,7 @@ let f5 () =
           Ramsey.upper_bound (List.init colors (fun _ -> target))
         in
         let ok =
-          Nca_graph.Ramsey_check.check_theorem7 ~seed:42 ~colors ~target
+          Ramsey_check.check_theorem7 ~seed:42 ~colors ~target
             ~trials
         in
         [
@@ -630,11 +636,14 @@ let () =
     | _ :: (_ :: _ as names) -> names
     | _ -> List.map fst all
   in
-  List.iter
-    (fun name ->
-      match List.assoc_opt (String.lowercase_ascii name) all with
-      | Some f -> f ()
-      | None ->
+  let find name = List.assoc_opt (String.lowercase_ascii name) all in
+  (match List.filter (fun name -> Option.is_none (find name)) requested with
+  | [] -> ()
+  | unknown ->
+      List.iter
+        (fun name ->
           Fmt.epr "unknown experiment %S (known: %s)@." name
             (String.concat ", " (List.map fst all)))
-    requested
+        unknown;
+      exit 2);
+  List.iter (fun name -> Option.iter (fun f -> f ()) (find name)) requested

@@ -11,7 +11,7 @@
    lives on. *)
 
 open Nca_logic
-module Answering = Nca_rewriting.Answering
+module Answering = Nca_experiments.Answering
 module Rewrite = Nca_rewriting.Rewrite
 
 let ontology =

@@ -10,18 +10,12 @@
 
 type severity = Error | Warning | Info
 
-val severity_to_string : severity -> string
-val severity_of_string : string -> severity option
-val pp_severity : severity Fmt.t
-
 type location =
   | Program  (** the rule set / program as a whole *)
   | Rule_site of { name : string; index : int }
       (** a rule, by name and 0-based position in the program *)
   | Predicate of { name : string; arity : int }
   | Span of { line : int; column : int }  (** a source position (1-based) *)
-
-val pp_location : location Fmt.t
 
 type t = {
   code : string;  (** stable code, ["NCA001"] … *)

@@ -50,9 +50,9 @@ let arity_drift p =
     (fun name arities acc ->
       match List.sort_uniq Int.compare arities with
       | [] | [ _ ] -> acc
-      | many ->
+      | first :: _ as many ->
           D.make ~code:"NCA002" ~severity:D.Error
-            ~location:(D.Predicate { name; arity = List.hd many })
+            ~location:(D.Predicate { name; arity = first })
             ~certificate:
               (Fmt.str "arities: %a" Fmt.(list ~sep:(any ", ") int) many)
             ~hint:"rename one of the predicates — same-name symbols with \
@@ -181,7 +181,7 @@ let unused_predicates (p : Parser.program) =
 (* A Datalog rule corresponds to the CQ whose answer tuple lists its head
    arguments (heads sorted to fix the order). [r'] shadows [r] when both
    derive over the same head-predicate multiset and q_r ⊑ q_r'
-   (Chandra–Merlin, via Nca_rewriting.Containment): every trigger of [r]
+   (Chandra–Merlin: [Cq.subsumes q_r' q_r]): every trigger of [r]
    is then a trigger of [r'] producing the same head atoms. *)
 let rule_as_cq r =
   if not (Rule.is_datalog r) then None
@@ -214,9 +214,8 @@ let shadowed_rules p =
                 &&
                 match cqi with
                 | Some (key_i, qi) when key_i = key_j ->
-                    Nca_rewriting.Containment.contained qj qi
-                    && (i < j
-                       || not (Nca_rewriting.Containment.contained qi qj))
+                    Cq.subsumes qi qj
+                    && (i < j || not (Cq.subsumes qj qi))
                 | _ -> false)
               cqs
           in
@@ -511,14 +510,15 @@ let joint_acyclicity (p : Parser.program) =
            trigger the next [Krötzsch & Rudolph]";
       ]
 
+(* The classifier's rule indices index the very [p.rules] it classified. *)
+let rule_at (p : Parser.program) k = List.nth p.rules k
+
 let super_weak_acyclicity (p : Parser.program) =
   let t = T.classify_cached p.rules in
   match t.T.swa_cycle with
   | None -> []
   | Some cycle ->
-      let pp_rule ppf k =
-        Fmt.pf ppf "%s#%d" (Rule.name (List.nth p.rules k)) k
-      in
+      let pp_rule ppf k = Fmt.pf ppf "%s#%d" (Rule.name (rule_at p k)) k in
       [
         D.make ~code:"NCA015" ~severity:(hierarchy_severity t)
           ~location:D.Program
@@ -535,7 +535,7 @@ let mfa (p : Parser.program) =
   let t = T.classify_cached p.rules in
   match (t.T.cyclic_term, t.T.verdict) with
   | Some (k, z), _ ->
-      let r = List.nth p.rules k in
+      let r = rule_at p k in
       [
         D.make ~code:"NCA016" ~severity:D.Warning ~location:(rule_site k r)
           ~certificate:
@@ -564,7 +564,7 @@ let non_termination (p : Parser.program) =
   let t = T.classify_cached p.rules in
   match t.T.verdict with
   | T.Non_terminating w ->
-      let r = List.nth p.rules w.T.w_rule in
+      let r = rule_at p w.T.w_rule in
       [
         D.make ~code:"NCA017" ~severity:D.Warning
           ~location:(rule_site w.T.w_rule r)

@@ -8,7 +8,7 @@
     - [NCA003] unsafe/existential head variables (logic layer, §2.1)
     - [NCA004] dead rules via predicate-dependency reachability
     - [NCA005] derived-but-unused predicates
-    - [NCA006] rule shadowing via {!Nca_rewriting.Containment}
+    - [NCA006] rule shadowing via CQ containment ({!Nca_logic.Cq.subsumes})
     - [NCA007] weak acyclicity, with the
       {!Nca_chase.Acyclicity.offending_cycle} certificate
     - [NCA008] forward-existentiality with offending atom positions

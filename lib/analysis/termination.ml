@@ -245,6 +245,7 @@ let analyze_graph vertices edges index_of =
   match Intgraph.topo_sort g with
   | Some o -> (true, Some (List.map (fun i -> arr.(i)) o), None)
   | None ->
+      (* [topo_sort] fails only on a cycle, and [find_cycle] finds one *)
       let c = Option.get (Intgraph.find_cycle g) in
       (false, None, Some (List.map (fun i -> arr.(i)) c))
 
@@ -278,6 +279,7 @@ let check_topo ~what ~pp_v equal vertices edges order =
         match acc with
         | Error _ -> acc
         | Ok () ->
+            (* edges join vertices, and every vertex is in the order *)
             let iu = Option.get (index u) and iv = Option.get (index v) in
             if iu < iv then Ok ()
             else
@@ -517,6 +519,8 @@ let classify ?(budget = default_budget) rules =
       | None ->
           (* unreachable: the ranking exists iff the set is WA *)
           (Unknown (Nca_obs.Exhausted.cancelled), None, None)
+    (* [ja_ok] and [swa_ok] hold exactly when [analyze_graph] found an
+       order, so neither order lookup below can fail *)
     else if ja_ok then
       (Terminating (Joint_acyclicity, Ja_order (Option.get ja_ord)), Some true, None)
     else if swa_ok then
@@ -557,6 +561,8 @@ let classify ?(budget = default_budget) rules =
                 Option.bind full (fun (chase, _) -> cyclic_term rules chase)
           in
           let mfa = if Option.is_some cyc then Some false else None in
+          (* a chase that did not saturate carries its stop reason
+             ([Chase.t.stopped] is [None] iff [saturated]) *)
           let stopped =
             match full with
             | Some (chase, _) -> Option.get chase.stopped
@@ -570,6 +576,8 @@ let classify ?(budget = default_budget) rules =
   (match Telemetry.span "classify.check" (fun () -> check rules verdict) with
   | Ok () -> ()
   | Error e ->
+      (* the classifier's own certificate failing its check is a bug, not
+         an input error: the CLI reports it as an internal error *)
       invalid_arg ("Termination.classify: certificate failed verification: " ^ e));
   (match verdict with
   | Terminating _ -> Telemetry.incr "classify.terminating"

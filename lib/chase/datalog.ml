@@ -13,30 +13,6 @@ let check_datalog rules =
     (fun r -> if not (Rule.is_datalog r) then raise (Not_datalog r))
     rules
 
-(* Unify one body atom against a concrete delta atom, seeding the
-   substitution for the search over the remaining atoms. *)
-let seed_with atom fact =
-  if not (Symbol.equal (Atom.pred atom) (Atom.pred fact)) then None
-  else if List.compare_lengths (Atom.args atom) (Atom.args fact) <> 0 then
-    (* unreachable for well-formed atoms (the arity is part of the
-       predicate), but malformed input must not escape as a bare
-       [Invalid_argument] from [fold_left2] *)
-    None
-  else
-    List.fold_left2
-      (fun acc s t ->
-        match acc with
-        | None -> None
-        | Some sub ->
-            if not (Term.is_mappable s) then
-              if Term.equal s t then acc else None
-            else begin
-              match Subst.find_opt s sub with
-              | Some u -> if Term.equal u t then acc else None
-              | None -> Some (Subst.add s t sub)
-            end)
-      (Some Subst.empty) (Atom.args atom) (Atom.args fact)
-
 (* In-round store of freshly derived atoms: hash-consed atoms hash and
    compare in O(1), so use them directly instead of polymorphic hashing. *)
 module Atom_tbl = Hashtbl.Make (struct
@@ -133,9 +109,3 @@ let closure start rules =
   match saturate_steps ~budget:Nca_obs.Budget.unlimited start rules with
   | Ok (total, _) -> total
   | Error _ -> assert false (* no bound to exhaust *)
-
-let rounds_to_fixpoint start rules =
-  match saturate_steps ~budget:Nca_obs.Budget.unlimited start rules with
-  (* the final round derives nothing new *)
-  | Ok (_, n) -> max 0 (n - 1)
-  | Error _ -> assert false

@@ -24,13 +24,6 @@ type exhausted = {
 (** Budget exhaustion is a value, not an exception: the seed's
     [Datalog.Budget] exception (which only one CLI path caught) is gone. *)
 
-val seed_with : Atom.t -> Atom.t -> Subst.t option
-(** [seed_with atom fact] unifies a body atom against a concrete fact:
-    [Some sub] with [sub atom = fact], [None] when the predicates differ,
-    the arities mismatch, or the atom's repeated variables / constants
-    disagree with the fact. Total — malformed input yields [None], never
-    an exception. *)
-
 val saturate :
   ?max_rounds:int -> ?max_atoms:int -> ?budget:Nca_obs.Budget.t ->
   Instance.t -> Rule.t list -> (Instance.t, exhausted) result
@@ -45,7 +38,3 @@ val closure : Instance.t -> Rule.t list -> Instance.t
 (** Unbudgeted least fixpoint — total, since Datalog closures are finite.
     The convenience entry point for callers that want the full closure
     and no budget story (tests, benchmarks, examples). *)
-
-val rounds_to_fixpoint : Instance.t -> Rule.t list -> int
-(** Number of semi-naive rounds until saturation (a recursion-depth
-    measure); unbudgeted. *)

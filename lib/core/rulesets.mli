@@ -53,7 +53,6 @@ val ucq_defined : entry
     the binary UCQ [R(x,y) ∨ S(y,x)] through added Datalog rules. *)
 
 val bidirectional : entry
-val two_cycles : entry
 val datalog_star : entry
 
 val zoo : entry list

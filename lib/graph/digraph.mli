@@ -45,9 +45,6 @@ module Make (V : VERTEX) : sig
   val topo_sort : t -> V.t list option
   (** A topological order of the vertices, or [None] on a cyclic graph. *)
 
-  val reachable : V.t -> t -> VSet.t
-  (** Vertices reachable from [v] by a non-empty directed path. *)
-
   val reaches : V.t -> V.t -> t -> bool
   (** [reaches s t g]: is there a non-empty directed path from [s] to [t]?
     This is the strict order [s <_I t] of Definition 38 when [g] is a DAG. *)

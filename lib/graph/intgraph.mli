@@ -25,8 +25,6 @@ val add_edge : t -> int -> int -> unit
     is a no-op. Raises [Invalid_argument] when a vertex is out of
     range. *)
 
-val mem_edge : t -> int -> int -> bool
-
 val succs : t -> int -> int list
 (** Successors of a vertex in first-insertion order, duplicate-free. *)
 

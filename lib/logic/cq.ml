@@ -53,9 +53,22 @@ let align q tuple =
   in
   go Subst.empty q.answer tuple
 
+let rec repeats = function
+  | [] -> false
+  | t :: ts -> List.exists (Term.equal t) ts || repeats ts
+
 let find ?tuple ~inj i q =
   let init = Option.fold ~none:(Some Subst.empty) ~some:(align q) tuple in
-  Option.bind init (fun init -> Hom.find ~inj ~init q.body i)
+  Option.bind init (fun init ->
+      (* [Hom]'s injective mode checks new bindings against the images of
+         [init] only; two answer variables aligned to one repeated tuple
+         term already break §2.1's injectivity. *)
+      if
+        inj
+        && Option.fold ~none:false ~some:repeats tuple
+        && not (Subst.is_injective_on (answer_vars q) init)
+      then None
+      else Hom.find ~inj ~init q.body i)
 
 let holds ?tuple i q = Option.is_some (find ?tuple ~inj:false i q)
 let holds_inj ?tuple i q = Option.is_some (find ?tuple ~inj:true i q)

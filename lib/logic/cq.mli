@@ -39,7 +39,9 @@ val align : t -> Term.t list -> Subst.t option
 
 val find : ?tuple:Term.t list -> inj:bool -> Instance.t -> t -> Subst.t option
 (** A homomorphism (injective under [inj]) from the body to the instance
-    extending [align q tuple]; without [tuple], any homomorphism. *)
+    extending [align q tuple]; without [tuple], any homomorphism. Under
+    [inj] the whole map is injective (§2.1), answer variables included:
+    two distinct answer variables never share a repeated tuple term. *)
 
 val holds : ?tuple:Term.t list -> Instance.t -> t -> bool
 (** [holds ~tuple i q] is [i ⊨ q(tuple)]: a homomorphism from the body to

@@ -332,15 +332,6 @@ let parse_program input =
   go [] [] []
 
 let parse_rules input = (parse_program input).rules
-let parse_instance input = (parse_program input).facts
-
-let parse_query input =
-  match (parse_program input).queries with
-  | [ q ] -> q
-  | qs ->
-      error_at whole_input
-        (Fmt.str "expected one query, got %d" (List.length qs))
-
 let parse_rule input =
   match parse_rules input with
   | [ r ] -> r

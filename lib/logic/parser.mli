@@ -48,8 +48,6 @@ val error_message : position -> string -> string
 
 val parse_program : string -> program
 val parse_rules : string -> Rule.t list
-val parse_instance : string -> Instance.t
-val parse_query : string -> Cq.t
 val parse_rule : string -> Rule.t
 
 val rule : string -> Rule.t

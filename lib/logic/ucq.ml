@@ -48,7 +48,6 @@ let cover u =
   in
   { u with disjuncts = keep [] (dedup [] u.disjuncts) }
 
-let mem_equiv q u = List.exists (fun q' -> Cq.equivalent q q') u.disjuncts
 
 let equivalent a b =
   let covered x y =

@@ -30,9 +30,6 @@ val cover : t -> t
     one); the result is equivalent as a query. This is the minimization
     underlying "the minimal rewriting is unique" [König et al.]. *)
 
-val mem_equiv : Cq.t -> t -> bool
-(** Whether an equivalent disjunct is already present. *)
-
 val equivalent : t -> t -> bool
 (** Equivalence as queries: mutual disjunct-wise subsumption. *)
 

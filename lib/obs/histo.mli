@@ -21,9 +21,6 @@ val scrub : t -> t
 val bucket_of : int -> int
 (** The bucket index a value lands in. *)
 
-val bucket_upper : int -> int
-(** Inclusive upper bound of a bucket: [2{^b} - 1] (0 for bucket 0). *)
-
 val percentile : t -> int -> int
 (** [percentile h p] for [p] in [1..100]: an upper bound on the value
     at rank [ceil (p/100 * count)], clamped to {!max_value} — always

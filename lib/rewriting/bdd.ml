@@ -24,15 +24,3 @@ let for_signature ?max_rounds ?max_disjuncts ?budget rules sign =
 
 let certified verdicts =
   List.for_all (fun v -> Option.is_some v.constant) verdicts
-
-let cross_validate ?(depth = 6) rules q rewriting instances =
-  List.for_all
-    (fun i ->
-      let chase = Nca_chase.Chase.run ~max_depth:depth i rules in
-      let chase_side = Cq.holds chase.Nca_chase.Chase.instance q in
-      let rewrite_side = Ucq.holds i rewriting in
-      (* The rewriting may only anticipate atoms the truncated chase has
-         not yet produced, never the converse. *)
-      if chase.Nca_chase.Chase.saturated then chase_side = rewrite_side
-      else (not chase_side) || rewrite_side)
-    instances

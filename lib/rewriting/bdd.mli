@@ -7,9 +7,10 @@
       within a budget, yielding the rewriting and an upper bound on the
       bdd-constant;
     - a whole-signature check over the atomic queries of a signature
-      (sufficient in practice for the experiment suite);
-    - a chase-side cross-validation harness (Definition 3 verbatim on
-      sample instances). *)
+      (sufficient in practice for the experiment suite).
+
+    The chase-side check of Definition 2 on sample instances is a test
+    oracle ([Nca_oracle.Bdd_sample]). *)
 
 open Nca_logic
 
@@ -33,10 +34,3 @@ val for_signature :
 
 val certified : verdict list -> bool
 (** All verdicts have a finite constant. *)
-
-val cross_validate :
-  ?depth:int -> Rule.t list -> Cq.t -> Ucq.t -> Instance.t list -> bool
-(** Definition 2 on samples: for each instance [I],
-    [Ch(I,R) ⊨ q ⟺ I ⊨ Q]. The chase is truncated at [depth] (default 6),
-    so a mismatch is a genuine refutation only in the ⊨-on-[I] direction;
-    the harness reports logical equivalence of what it can observe. *)

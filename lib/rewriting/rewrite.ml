@@ -97,10 +97,3 @@ let rewrite_ucq ?max_rounds ?max_disjuncts ?(minimize = true)
 
 let rewrite ?max_rounds ?max_disjuncts ?minimize ?budget rules q =
   rewrite_ucq ?max_rounds ?max_disjuncts ?minimize ?budget rules (Ucq.of_cq q)
-
-let sound_for chase base outcome =
-  List.for_all
-    (fun q ->
-      (not (Cq.holds base q))
-      || Cq.holds chase.Nca_chase.Chase.instance q)
-    (Ucq.disjuncts outcome.ucq)

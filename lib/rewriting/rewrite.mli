@@ -33,8 +33,3 @@ val rewrite_ucq :
   ?max_rounds:int -> ?max_disjuncts:int -> ?minimize:bool ->
   ?budget:Nca_obs.Budget.t -> Rule.t list -> Ucq.t -> outcome
 (** Rewriting lifted to UCQs (used to compose rewritings, Lemma 5). *)
-
-val sound_for :
-  Nca_chase.Chase.t -> Instance.t -> outcome -> bool
-(** Test harness: every disjunct that holds on the base instance must hold
-    on the chase (soundness of the rewriting wrt. a computed chase). *)

@@ -9,19 +9,15 @@
 
 open Nca_logic
 
-val is_forward_existential_rule : Rule.t -> bool
-(** Definition 21 on a single rule: every binary head atom [A(x, y)] has
+val is_forward_existential : Rule.t list -> bool
+(** Definition 21: in every rule, every binary head atom [A(x, y)] has
     [x] in the frontier and [y] existential. Unary and nullary head atoms
     are unconstrained (they create no edges; cf. the head [A₀^ρ(w)] that
     [∇] itself produces). Datalog rules are always accepted. *)
 
-val is_forward_existential : Rule.t list -> bool
-
-val is_predicate_unique_rule : Rule.t -> bool
-(** Definition 22 on a single rule: in a non-Datalog rule every predicate
-    occurs at most once in the head. *)
-
 val is_predicate_unique : Rule.t list -> bool
+(** Definition 22: in every non-Datalog rule every predicate occurs at
+    most once in the head. *)
 
 val is_binary : Rule.t list -> bool
 (** All predicates of the rule set have arity at most 2. *)

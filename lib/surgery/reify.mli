@@ -13,9 +13,6 @@
 
 open Nca_logic
 
-val position_symbol : Symbol.t -> int -> Symbol.t
-(** [position_symbol a i] is the fresh binary predicate [Aᵢ] (1-based). *)
-
 val signature : Symbol.Set.t -> Symbol.Set.t
 (** [reify(S)]: at-most-binary predicates kept, each higher-arity [A]
     replaced by [A₁ … A_n]. *)

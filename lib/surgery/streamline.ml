@@ -1,9 +1,10 @@
 open Nca_logic
 
+(* The fresh predicate family of a rule, deterministic in the rule name. *)
 type names = {
   a0 : Symbol.t;
-  a_of : Term.t -> Symbol.t;
-  b_of : Term.t -> Term.t -> Symbol.t;
+  a_of : Term.t -> Symbol.t;  (* [A^ρ_{y,w}] for frontier variable [y] *)
+  b_of : Term.t -> Term.t -> Symbol.t;  (* [B^ρ_{y',z}] *)
 }
 
 let term_label t =

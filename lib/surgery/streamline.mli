@@ -18,15 +18,6 @@
 
 open Nca_logic
 
-type names = {
-  a0 : Symbol.t;
-  a_of : Term.t -> Symbol.t;  (** [A^ρ_{y,w}] for frontier variable [y] *)
-  b_of : Term.t -> Term.t -> Symbol.t;  (** [B^ρ_{y',z}] *)
-}
-
-val names_for : Rule.t -> names
-(** The fresh predicate family of a rule (deterministic in the rule name). *)
-
 val of_rule : Rule.t -> Rule.t list
 (** [[ρ_init; ρ_∃; ρ_DL]] for a non-Datalog rule; [[ρ]] for a Datalog
     rule. *)

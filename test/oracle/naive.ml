@@ -136,6 +136,15 @@ let chase ~max_depth ~max_atoms start rules =
   let stamps = stamp_terms 0 (Instance.adom start) Term.Map.empty in
   go start [ start ] 0 stamps Term.Map.empty
 
+(* Unify one body atom against a concrete fact, seeding the substitution
+   for the search over the rest of the body: [None] when the predicates
+   differ, the arities mismatch, or a repeated variable or a constant
+   disagrees with the fact. *)
+let seed_with atom fact =
+  if Symbol.equal (Atom.pred atom) (Atom.pred fact) then
+    match_atom Subst.empty atom fact
+  else None
+
 (* Seed semi-naive Datalog: pivot seeded on the delta, the rest of the
    body matched by predicate scan over the whole relation (duplicate
    enumerations across pivots included), persistent accumulator. *)
@@ -159,7 +168,7 @@ let datalog_saturate ?(max_rounds = 10000) start rules =
               let pivot, rest = split_nth i [] body in
               Instance.iter
                 (fun fact ->
-                  match Datalog.seed_with pivot fact with
+                  match seed_with pivot fact with
                   | None -> ()
                   | Some seed ->
                       iter ~init:seed rest total (fun h ->
@@ -177,3 +186,14 @@ let datalog_saturate ?(max_rounds = 10000) start rules =
     end
   in
   go start start 0
+
+(* The number of semi-naive rounds [Datalog.saturate] needs, not counting
+   the final round that derives nothing: the least round budget under
+   which it reaches the fixpoint. *)
+let rounds_to_fixpoint start rules =
+  let rec least k =
+    match Datalog.saturate ~max_rounds:k start rules with
+    | Ok _ -> k
+    | Error _ -> least (k + 1)
+  in
+  least 0

@@ -1,22 +1,19 @@
-(* Tests for the analysis extensions: coloring & Conjecture 44, instance
-   cores, derivation traces, DOT export, OBQA answering, and the
+(* Tests for the analysis extensions: coloring & Conjecture 44,
+   derivation traces, DOT export, OBQA answering, and the
    rewriting-cover ablation. *)
 
 open Nca_logic
 module G = Nca_graph.Digraph.Term_graph
-module Coloring = Nca_graph.Coloring
+module Coloring = Nca_experiments.Coloring
 module Dot = Nca_graph.Dot
-module Conjecture44 = Nca_core.Conjecture44
+module Conjecture44 = Nca_experiments.Conjecture44
 module Derivation = Nca_chase.Derivation
-module Answering = Nca_rewriting.Answering
+module Answering = Nca_experiments.Answering
 module Rulesets = Nca_core.Rulesets
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* homomorphisms both ways *)
-let hom_equiv a b =
-  Hom.exists (Instance.atoms a) b && Hom.exists (Instance.atoms b) a
 let v i = Term.cst (Printf.sprintf "v%d" i)
 let graph edges = G.of_edges (List.map (fun (i, j) -> (v i, v j)) edges)
 let e2 = Symbol.make "E" 2
@@ -117,48 +114,6 @@ let test_c44_zoo_consistent () =
       check (name ^ " C44-consistent") true
         (Conjecture44.verdict points = `Consistent))
     [ "example1_bdd"; "dense"; "succ_only"; "symmetric"; "tangle" ]
-
-(* ------------------------------------------------------------------ *)
-(* Instance cores *)
-
-let test_core_collapses_redundancy () =
-  let x = Term.var "x" and y = Term.var "y" and z = Term.var "z" in
-  let e s t = Atom.app "E" [ s; t ] in
-  (* E(x,y) ∧ E(x,z): z-branch retracts onto y-branch *)
-  let i = Instance.of_list [ e x y; e x z ] in
-  let c = Core.core i in
-  check_int "one atom" 1 (Instance.cardinal c);
-  check "equivalent to original" true (hom_equiv i c)
-
-let test_core_of_core_is_core () =
-  let x = Term.var "x" and y = Term.var "y" in
-  let e s t = Atom.app "E" [ s; t ] in
-  let i = Instance.of_list [ e x y; e y x ] in
-  let c = Core.core i in
-  check "idempotent" true (Instance.equal (Core.core c) c);
-  check "is_core" true (Core.is_core c)
-
-let test_core_constants_fixed () =
-  let i = Parser.instance "E(a,b), E(a,c)" in
-  (* constants are rigid: nothing retracts *)
-  check "ground instances are cores" true (Core.is_core i);
-  check_int "unchanged" 2 (Instance.cardinal (Core.core i))
-
-let test_core_equivalence_decision () =
-  let x = Term.var "x" and y = Term.var "y" and z = Term.var "z" in
-  let e s t = Atom.app "E" [ s; t ] in
-  let single = Instance.of_list [ e x y ] in
-  let fan = Instance.of_list [ e x y; e x z; e (Term.var "u") y ] in
-  check "fan ≡ edge via cores" true (Core.equivalent_via_cores single fan);
-  let loop = Instance.of_list [ e x x ] in
-  check "loop ≢ edge" false (Core.equivalent_via_cores single loop)
-
-let test_core_loop_absorbs () =
-  let x = Term.var "x" and y = Term.var "y" in
-  let e s t = Atom.app "E" [ s; t ] in
-  (* an edge next to a loop retracts onto the loop *)
-  let i = Instance.of_list [ e x x; e x y ] in
-  check_int "core is the loop" 1 (Instance.cardinal (Core.core i))
 
 (* ------------------------------------------------------------------ *)
 (* Derivation traces *)
@@ -321,17 +276,17 @@ let test_minimize_ablation_generates_more () =
 (* Question 46 audit *)
 
 let test_q46_loop_free_within_bound () =
-  let a = Nca_core.Question46.audit ~depth:3 Rulesets.succ_only in
+  let a = Nca_experiments.Question46.audit ~depth:3 Rulesets.succ_only in
   check "bdd" true a.bdd;
   check "loop-free" false a.loop;
   check "within bound" true a.within_bound;
   check "rewriting nonempty" true (a.rewriting_disjuncts > 0)
 
 let test_q46_loop_case () =
-  let a = Nca_core.Question46.audit ~depth:3 Rulesets.example1_bdd in
+  let a = Nca_experiments.Question46.audit ~depth:3 Rulesets.example1_bdd in
   check "loop" true a.loop;
   check "vacuously within" true a.within_bound;
-  let rendered = Fmt.str "%a" Nca_core.Question46.pp a in
+  let rendered = Fmt.str "%a" Nca_experiments.Question46.pp a in
   check "pp" true (String.length rendered > 10)
 
 (* ------------------------------------------------------------------ *)
@@ -367,22 +322,6 @@ let prop_chromatic_at_least_tournament =
       match Coloring.chromatic_number g with
       | None -> Nca_graph.Digraph.Term_graph.has_loop g
       | Some chi -> chi >= Nca_graph.Tournament.max_tournament_size g)
-
-let prop_core_equivalent =
-  QCheck.Test.make ~name:"core ≡ original" ~count:40
-    (QCheck.make
-       QCheck.Gen.(
-         map
-           (fun seed ->
-             (* variables, not constants, so retraction has room to act *)
-             Instance.generalize
-               (Rulesets.random_instance ~seed ~constants:4 ~atoms:6
-                  (Symbol.Set.singleton e2)))
-           (int_range 0 5000)))
-    (fun i ->
-      QCheck.assume (not (Instance.is_empty i));
-      let c = Core.core i in
-      hom_equiv i c && Core.is_core c)
 
 (* ------------------------------------------------------------------ *)
 (* Lint engine: one triggering and one non-triggering fixture per
@@ -759,7 +698,7 @@ let prop_hierarchy_containment =
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_chromatic_at_least_tournament; prop_core_equivalent;
+      prop_chromatic_at_least_tournament;
       prop_hierarchy_containment;
     ]
 
@@ -783,14 +722,6 @@ let () =
           tc "example1 profile" test_c44_example1;
           tc "loop ⇒ no coloring" test_c44_loop_infinite_chromatic;
           tc "zoo consistent" test_c44_zoo_consistent;
-        ] );
-      ( "cores",
-        [
-          tc "collapse" test_core_collapses_redundancy;
-          tc "idempotent" test_core_of_core_is_core;
-          tc "constants fixed" test_core_constants_fixed;
-          tc "equivalence decision" test_core_equivalence_decision;
-          tc "loop absorbs" test_core_loop_absorbs;
         ] );
       ( "derivation",
         [

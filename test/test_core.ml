@@ -3,7 +3,7 @@ module Valley = Nca_core.Valley
 module Witness = Nca_core.Witness
 module Theorem1 = Nca_core.Theorem1
 module Rulesets = Nca_core.Rulesets
-module Tabular = Nca_core.Tabular
+module Tabular = Nca_experiments.Tabular
 module MS = Nca_graph.Multiset.Int_multiset
 
 let check = Alcotest.(check bool)
@@ -294,7 +294,7 @@ let test_definable_rules () =
   let ucq =
     Ucq.make [ Cq.make ~answer:[ x; y ] [ r ]; Cq.make ~answer:[ x; y ] [ s ] ]
   in
-  let defs = Nca_core.Definable.definition_rules ~e:e2 ucq in
+  let defs = Nca_experiments.Definable.definition_rules ~e:e2 ucq in
   check_int "one rule per disjunct" 2 (List.length defs);
   check "all datalog" true (List.for_all Rule.is_datalog defs)
 
@@ -302,14 +302,14 @@ let test_definable_freshness () =
   let ucq = Ucq.make [ Cq.make ~answer:[ x; y ] [ e x y ] ] in
   check "E inside the UCQ rejected" true
     (try
-       ignore (Nca_core.Definable.definition_rules ~e:e2 ucq);
+       ignore (Nca_experiments.Definable.definition_rules ~e:e2 ucq);
        false
      with Invalid_argument _ -> true);
   let ucq_r = Ucq.make [ Cq.make ~answer:[ x; y ] [ Atom.app "R" [ x; y ] ] ] in
   check "E in the rule set rejected" true
     (try
        ignore
-         (Nca_core.Definable.extend ~e:e2 ucq_r
+         (Nca_experiments.Definable.extend ~e:e2 ucq_r
             (Parser.parse_rules "r: E(x,y) -> E(y,x)."));
        false
      with Invalid_argument _ -> true)
@@ -324,7 +324,7 @@ let test_definable_preserves_bdd () =
   in
   let base = Parser.parse_rules "gr: R(x,y) -> R(y,z). gs: R(x,y) -> S(x,w)." in
   check "Section 6 remark holds" true
-    (Nca_core.Definable.preserves_bdd ~e:e2 ucq_r base)
+    (Nca_experiments.Definable.preserves_bdd ~e:e2 ucq_r base)
 
 let test_definable_zoo_entry () =
   let entry = Rulesets.ucq_defined in

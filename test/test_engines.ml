@@ -1,12 +1,10 @@
-(* Tests for the evaluation engines: semi-naive Datalog saturation,
-   CQ/UCQ containment and minimization, and the empirical Theorem-7
-   (Ramsey) checker. *)
+(* Tests for the evaluation engines: semi-naive Datalog saturation, CQ
+   containment, and the empirical Theorem-7 (Ramsey) checker. *)
 
 open Nca_logic
 module Datalog = Nca_chase.Datalog
 module Chase = Nca_chase.Chase
-module Containment = Nca_rewriting.Containment
-module Ramsey_check = Nca_graph.Ramsey_check
+module Ramsey_check = Nca_experiments.Ramsey_check
 module Rulesets = Nca_core.Rulesets
 
 let check = Alcotest.(check bool)
@@ -66,7 +64,7 @@ let test_datalog_rounds () =
   in
   (* transitive closure of a chain of 8 needs ~log rounds (semi-naive
      joins deltas with the full relation, so paths double each round) *)
-  let rounds = Datalog.rounds_to_fixpoint (chain 8) rules in
+  let rounds = Nca_oracle.Naive.rounds_to_fixpoint (chain 8) rules in
   check "few rounds" true (rounds >= 2 && rounds <= 5);
   check_int "closure size" 36
     (Instance.cardinal (Datalog.closure (chain 8) rules))
@@ -89,63 +87,19 @@ let test_datalog_lemma33_decomposition () =
     (Instance.equal via_engine via_chase.instance)
 
 (* ------------------------------------------------------------------ *)
-(* Containment *)
+(* Containment: [q ⊑ q'] is [Cq.subsumes q' q] (Chandra–Merlin) *)
 
 let test_containment_basic () =
   let edge = Cq.boolean [ e x y ] in
   let path2 = Cq.boolean [ e x y; e y z ] in
-  check "path2 ⊑ edge" true (Containment.contained path2 edge);
-  check "edge ⋢ path2" false (Containment.contained edge path2)
+  check "path2 ⊑ edge" true (Cq.subsumes edge path2);
+  check "edge ⋢ path2" false (Cq.subsumes path2 edge)
 
 let test_containment_with_answers () =
   let q1 = Cq.make ~answer:[ x ] [ e x y ] in
   let q2 = Cq.make ~answer:[ x ] [ e x y; e x z ] in
-  check "q2 ⊑ q1" true (Containment.contained q2 q1);
-  check "equivalent (z-copy redundant)" true (Containment.equivalent q1 q2)
-
-let test_canonical_database () =
-  let q = Cq.make ~answer:[ x ] [ e x y ] in
-  let db, tuple = Containment.canonical_database q in
-  check_int "frozen body" 1 (Instance.cardinal db);
-  check "frozen answers are constants" true (List.for_all Term.is_cst tuple);
-  (* Chandra–Merlin: q' contains q iff q' holds on q's canonical db *)
-  let q' = Cq.rename_apart (Cq.make ~answer:[ x ] [ e x y ]) in
-  check "holds on canonical db" true (Cq.holds ~tuple db q')
-
-let test_minimize () =
-  let q = Cq.make ~answer:[ x ] [ e x y; e x z ] in
-  let m = Containment.minimize q in
-  check_int "one atom suffices" 1 (Cq.size m);
-  check "equivalent" true (Containment.equivalent q m);
-  check "minimal" true (Containment.is_minimal m);
-  check "original not minimal" false (Containment.is_minimal q)
-
-let test_minimize_keeps_necessary_atoms () =
-  let q = Cq.make ~answer:[ x; z ] [ e x y; e y z ] in
-  let m = Containment.minimize q in
-  check_int "path needed in full" 2 (Cq.size m)
-
-let test_ucq_containment () =
-  let u1 = Ucq.make [ Cq.boolean [ e x x ] ] in
-  let u2 = Ucq.make [ Cq.boolean [ e x y ] ] in
-  check "loop ⊑ edge (as UCQs)" true (Containment.ucq_contained u1 u2);
-  check "edge ⋢ loop" false (Containment.ucq_contained u2 u1);
-  let u3 = Ucq.make [ Cq.boolean [ e x y ]; Cq.boolean [ e x x ] ] in
-  check "u3 ≡ u2" true (Containment.ucq_equivalent u3 u2)
-
-let test_minimize_ucq () =
-  let u =
-    Ucq.make
-      [
-        Cq.boolean [ e x y; e x z ];
-        (* minimizes to one atom *)
-        Cq.boolean [ e x x ];
-        (* then contained in the first *)
-      ]
-  in
-  let m = Containment.minimize_ucq u in
-  check_int "single minimal disjunct" 1 (Ucq.size m);
-  check_int "of one atom" 1 (Cq.size (List.hd (Ucq.disjuncts m)))
+  check "q2 ⊑ q1" true (Cq.subsumes q1 q2);
+  check "equivalent (z-copy redundant)" true (Cq.equivalent q1 q2)
 
 (* ------------------------------------------------------------------ *)
 (* Empirical Theorem 7 *)
@@ -209,13 +163,7 @@ let cq_gen =
 
 let prop_containment_reflexive =
   QCheck.Test.make ~name:"containment reflexive" ~count:100 (QCheck.make cq_gen)
-    (fun q -> Containment.contained q q)
-
-let prop_minimize_equivalent =
-  QCheck.Test.make ~name:"minimize preserves equivalence" ~count:100
-    (QCheck.make cq_gen) (fun q ->
-      let m = Containment.minimize q in
-      Containment.equivalent q m && Cq.size m <= Cq.size q)
+    (fun q -> Cq.subsumes q q)
 
 let prop_datalog_chase_agree =
   QCheck.Test.make ~name:"semi-naive ≡ chase on random datalog" ~count:25
@@ -236,8 +184,7 @@ let prop_datalog_chase_agree =
 
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_containment_reflexive; prop_minimize_equivalent;
-      prop_datalog_chase_agree ]
+    [ prop_containment_reflexive; prop_datalog_chase_agree ]
 
 let tc name fn = Alcotest.test_case name `Quick fn
 
@@ -257,11 +204,6 @@ let () =
         [
           tc "basic" test_containment_basic;
           tc "with answers" test_containment_with_answers;
-          tc "canonical database" test_canonical_database;
-          tc "minimize" test_minimize;
-          tc "necessary atoms" test_minimize_keeps_necessary_atoms;
-          tc "ucq containment" test_ucq_containment;
-          tc "minimize ucq" test_minimize_ucq;
         ] );
       ( "ramsey-empirical",
         [

@@ -161,6 +161,17 @@ let test_empty_body () =
 (* ------------------------------------------------------------------ *)
 (* The query layer vs the same functions on the oracle search *)
 
+(* A repeated answer tuple: [?(x,y) E(x,y)] on [E(a,a)] holds at [(a,a)],
+   but not injectively, since [x] and [y] would share the image [a]. *)
+let test_inj_repeated_tuple () =
+  let i = Parser.instance "E(a,a)" in
+  let a = Term.cst "a" and x = Term.var "x" and y = Term.var "y" in
+  let edge = Cq.make ~answer:[ x; y ] [ Atom.app "E" [ x; y ] ] in
+  let loop = Cq.make ~answer:[ x; x ] [ Atom.app "E" [ x; x ] ] in
+  check "holds" true (Cq.holds ~tuple:[ a; a ] i edge);
+  check "not injectively" false (Cq.holds_inj ~tuple:[ a; a ] i edge);
+  check "loop holds injectively" true (Cq.holds_inj ~tuple:[ a; a ] i loop)
+
 let vars_of body = Term.sorted_elements (Atom.vars_of_list body)
 
 (* A CQ over a random body: up to two answer positions drawn (with
@@ -196,12 +207,18 @@ let ref_align q tuple =
             | Some u -> if Term.equal u t then Some s else None))
       (Some Subst.empty) (Cq.answer q) tuple
 
+(* §2.1's [⊨_inj], restated: some homomorphism extending the alignment
+   maps the variables of [q], answer variables included, to pairwise
+   distinct terms. *)
 let oracle_find ?tuple ~inj i q =
-  match tuple with
-  | None -> Oracle.find ~inj (Cq.body q) i
-  | Some t ->
-      Option.bind (ref_align q t) (fun init ->
-          Oracle.find ~inj ~init (Cq.body q) i)
+  let injective h =
+    let images = List.map (Subst.apply h) (Term.sorted_elements (Cq.vars q)) in
+    List.length (List.sort_uniq Term.compare images) = List.length images
+  in
+  let init = Option.fold ~none:(Some Subst.empty) ~some:(ref_align q) tuple in
+  Option.bind init (fun init ->
+      let homs = Oracle.all ~init (Cq.body q) i in
+      List.find_opt (fun h -> (not inj) || injective h) homs)
 
 let oracle_answers i q =
   List.sort_uniq compare
@@ -428,6 +445,7 @@ let () =
           tc "empty body" `Quick test_empty_body;
           tc "plan shape" `Quick test_plan_shape;
           tc "cache discipline" `Quick test_cache_discipline;
+          tc "injective on a repeated tuple" `Quick test_inj_repeated_tuple;
         ] );
       ("properties", props);
     ]

@@ -210,7 +210,7 @@ let test_bdd_cross_validation () =
       [ "E(a,b)"; "E(a,a)"; "E(a,b), E(b,c)"; "E(a,b), E(c,d)" ]
   in
   check "cross validation passes" true
-    (Bdd.cross_validate rules eq v.rewriting samples)
+    (Nca_oracle.Bdd_sample.cross_validate rules eq v.rewriting samples)
 
 (* ------------------------------------------------------------------ *)
 (* Injective rewritings (Prop. 6) *)
