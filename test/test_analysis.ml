@@ -428,6 +428,47 @@ let test_lint_arity_drift () =
   check "NCA002 silent on a consistent signature" false
     (has_code "NCA002" (Lint.run consistent))
 
+(* With three arities the diagnostic names the least one and lists all. *)
+let test_lint_arity_drift_three () =
+  let x = Term.var "x" and y = Term.var "y" and z = Term.var "z" in
+  let a1 = Symbol.make "A" 1 in
+  let rule name args =
+    Rule.make ~name
+      [ Atom.make (Symbol.make "P" (List.length args)) args ]
+      [ Atom.make a1 [ x ] ]
+  in
+  let p =
+    {
+      Parser.facts = Instance.empty;
+      rules = [ rule "r3" [ x; y; z ]; rule "r1" [ x ]; rule "r2" [ x; y ] ];
+      queries = [];
+    }
+  in
+  match List.filter (fun (d : Diag.t) -> d.code = "NCA002") (Lint.run p) with
+  | [ d ] ->
+      check "error" true (d.severity = Diag.Error);
+      check "at the least arity" true
+        (d.location = Diag.Predicate { name = "P"; arity = 1 });
+      check "all arities listed" true (d.certificate = Some "arities: 1, 2, 3")
+  | ds -> Alcotest.failf "expected one NCA002, got %d" (List.length ds)
+
+(* NCA006 reports the shadowed rule: of two equivalent rules the later
+   one, and a specialisation wherever it stands. *)
+let test_lint_shadowing () =
+  let sites src =
+    Lint.lint_source src
+    |> List.filter (fun (d : Diag.t) -> d.code = "NCA006")
+    |> List.map (fun (d : Diag.t) -> d.location)
+  in
+  check "later twin" true
+    (sites "a: E(x,y) -> B(x). b: E(x,y) -> B(x)."
+    = [ Diag.Rule_site { name = "b"; index = 1 } ]);
+  check "specialisation first" true
+    (sites "spec: E(x,x) -> B(x). gen: E(x,y) -> B(x)."
+    = [ Diag.Rule_site { name = "spec"; index = 0 } ]);
+  check "other answer position" true
+    (sites "a: E(x,y) -> B(x). b: E(x,y) -> B(y)." = [])
+
 let test_lint_parse_error_span () =
   match Lint.lint_source "E(a,b).\nr: E(x," with
   | [ d ] -> (
@@ -775,6 +816,8 @@ let () =
         [
           tc "fixture table (pos/neg per code)" test_lint_fixture_table;
           tc "arity drift (NCA002)" test_lint_arity_drift;
+          tc "arity drift, three arities (NCA002)" test_lint_arity_drift_three;
+          tc "shadowed rules (NCA006)" test_lint_shadowing;
           tc "duplicate labels (NCA019)" test_lint_duplicate_label;
           tc "parse error span (NCA001)" test_lint_parse_error_span;
           tc "pipeline invariants (NCA013)" test_lint_pipeline_invariants;

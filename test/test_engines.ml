@@ -1,5 +1,5 @@
 (* Tests for the evaluation engines: semi-naive Datalog saturation, CQ
-   containment, and the empirical Theorem-7 (Ramsey) checker. *)
+   and UCQ containment, and the empirical Theorem-7 (Ramsey) checker. *)
 
 open Nca_logic
 module Datalog = Nca_chase.Datalog
@@ -69,6 +69,31 @@ let test_datalog_rounds () =
   check_int "closure size" 36
     (Instance.cardinal (Datalog.closure (chain 8) rules))
 
+(* [saturate ~max_rounds:k] runs at most [k + 1] rounds, the last of
+   which must derive nothing; [rounds_to_fixpoint] is the least such [k].
+   Short of it, saturation stops after [k + 1] rounds with a partial
+   closure that is strict until the last productive round is done. *)
+let test_datalog_round_budget () =
+  let rules = Parser.parse_rules "tc: E(x,y), E(y,z) -> E(x,z)." in
+  let i = Parser.instance "E(a,b), E(b,c), E(c,d), E(d,e)" in
+  let full = Datalog.closure i rules in
+  let r = Nca_oracle.Naive.rounds_to_fixpoint i rules in
+  check_int "two productive rounds" 2 r;
+  (match Datalog.saturate ~max_rounds:r i rules with
+  | Ok c -> check "closure at the least budget" true (Instance.equal c full)
+  | Error _ -> Alcotest.fail "expected the fixpoint within its own rounds");
+  for k = 0 to r - 1 do
+    match Datalog.saturate ~max_rounds:k i rules with
+    | Error x ->
+        check_int "rounds completed" (k + 1) x.rounds;
+        check "partial ⊆ closure" true (Instance.subset x.partial full);
+        check "strict before the last productive round" (k + 1 < r)
+          (not (Instance.equal x.partial full))
+    | Ok _ -> Alcotest.failf "expected exhaustion under max_rounds %d" k
+  done;
+  check_int "a closed instance needs no productive round" 0
+    (Nca_oracle.Naive.rounds_to_fixpoint full rules)
+
 let test_datalog_empty_delta_terminates () =
   let rules = Parser.parse_rules "tc: E(x,y), E(y,z) -> E(x,z)." in
   let i = Parser.instance "E(a,b)" in
@@ -100,6 +125,61 @@ let test_containment_with_answers () =
   let q2 = Cq.make ~answer:[ x ] [ e x y; e x z ] in
   check "q2 ⊑ q1" true (Cq.subsumes q1 q2);
   check "equivalent (z-copy redundant)" true (Cq.equivalent q1 q2)
+
+(* Chandra–Merlin's canonical database of [q]: its body with every
+   variable frozen to a fresh constant, and the frozen answer tuple. *)
+let canonical_database q =
+  let freeze, _ =
+    List.fold_left
+      (fun (s, k) v -> (Subst.add v (Term.cst (Fmt.str "k%d" k)) s, k + 1))
+      (Subst.empty, 0)
+      (Term.sorted_elements (Cq.vars q))
+  in
+  ( Instance.of_list (Subst.apply_atoms freeze (Cq.body q)),
+    List.map (Subst.apply freeze) (Cq.answer q) )
+
+let test_canonical_database () =
+  let q = Cq.make ~answer:[ x ] [ e x y ] in
+  let db, tuple = canonical_database q in
+  check_int "frozen body" 1 (Instance.cardinal db);
+  check "frozen answers are constants" true (List.for_all Term.is_cst tuple);
+  (* q' subsumes q iff q' holds on q's canonical database at its tuple *)
+  let q' = Cq.rename_apart q in
+  check "holds on canonical db" true (Cq.holds ~tuple db q');
+  check "and subsumes" true (Cq.subsumes q' q);
+  let q2 = Cq.make ~answer:[ x ] [ e y x ] in
+  check "reversed edge fails on it" false (Cq.holds ~tuple db q2);
+  check "and does not subsume" false (Cq.subsumes q2 q)
+
+let test_ucq_containment () =
+  let u1 = Ucq.make [ Cq.boolean [ e x x ] ] in
+  let u2 = Ucq.make [ Cq.boolean [ e x y ] ] in
+  let db, _ = canonical_database (Cq.boolean [ e x x ]) in
+  check "loop ⊑ edge (edge holds on the frozen loop)" true (Ucq.holds db u2);
+  check "loop ≢ edge" false (Ucq.equivalent u1 u2);
+  let u3 = Ucq.make [ Cq.boolean [ e x y ]; Cq.boolean [ e x x ] ] in
+  check "u3 ≡ u2" true (Ucq.equivalent u3 u2);
+  check "u2 ≡ u3" true (Ucq.equivalent u2 u3)
+
+let test_ucq_cover () =
+  let u =
+    Ucq.make
+      [
+        Cq.boolean [ e x y; e x z ];
+        (* subsumed by the first: it maps onto the loop *)
+        Cq.boolean [ e x x ];
+      ]
+  in
+  let c = Ucq.cover u in
+  check_int "single disjunct" 1 (Ucq.size c);
+  check "equivalent" true (Ucq.equivalent c u);
+  (* a loop and a unary atom share no predicate: neither subsumes the
+     other *)
+  let incomparable =
+    Ucq.make [ Cq.boolean [ e x x ]; Cq.boolean [ Atom.app "A" [ x ] ] ]
+  in
+  check_int "incomparable disjuncts kept" 2
+    (Ucq.size (Ucq.cover incomparable))
 
 (* ------------------------------------------------------------------ *)
 (* Empirical Theorem 7 *)
@@ -165,6 +245,49 @@ let prop_containment_reflexive =
   QCheck.Test.make ~name:"containment reflexive" ~count:100 (QCheck.make cq_gen)
     (fun q -> Cq.subsumes q q)
 
+(* A CQ over E with [n] answer positions drawn from its body's
+   variables. *)
+let cq_answers_gen n =
+  QCheck.Gen.(
+    cq_gen >>= fun q ->
+    list_repeat n (oneofl (Term.sorted_elements (Cq.vars q)))
+    >|= fun answer -> Cq.make ~answer (Cq.body q))
+
+let pp_pair (q, q') = Fmt.str "%a vs %a" Cq.pp q Cq.pp q'
+
+let prop_chandra_merlin =
+  QCheck.Test.make ~name:"subsumes ≡ holds on the canonical database"
+    ~count:200
+    (QCheck.make ~print:pp_pair
+       QCheck.Gen.(
+         int_range 0 2 >>= fun n -> pair (cq_answers_gen n) (cq_answers_gen n)))
+    (fun (q, q') ->
+      let db, tuple = canonical_database q in
+      Cq.subsumes q' q = Cq.holds ~tuple db q')
+
+let prop_containment_transitive =
+  QCheck.Test.make ~name:"containment transitive" ~count:200
+    (QCheck.make QCheck.Gen.(triple cq_gen cq_gen cq_gen))
+    (fun (q1, q2, q3) ->
+      (not (Cq.subsumes q1 q2 && Cq.subsumes q2 q3)) || Cq.subsumes q1 q3)
+
+(* [Ucq.cover] keeps an equivalent query whose disjuncts are pairwise
+   incomparable. *)
+let prop_cover_antichain =
+  QCheck.Test.make ~name:"Ucq.cover ≡ original, disjuncts incomparable"
+    ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 4) cq_gen))
+    (fun qs ->
+      let u = Ucq.make qs in
+      let c = Ucq.cover u in
+      let kept = List.mapi (fun i q -> (i, q)) (Ucq.disjuncts c) in
+      Ucq.equivalent c u
+      && Ucq.size c <= Ucq.size u
+      && List.for_all
+           (fun (i, q) ->
+             List.for_all (fun (j, q') -> i = j || not (Cq.subsumes q' q)) kept)
+           kept)
+
 let prop_datalog_chase_agree =
   QCheck.Test.make ~name:"semi-naive ≡ chase on random datalog" ~count:25
     (QCheck.make
@@ -184,7 +307,11 @@ let prop_datalog_chase_agree =
 
 let props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_containment_reflexive; prop_datalog_chase_agree ]
+    [
+      prop_containment_reflexive; prop_chandra_merlin;
+      prop_containment_transitive; prop_cover_antichain;
+      prop_datalog_chase_agree;
+    ]
 
 let tc name fn = Alcotest.test_case name `Quick fn
 
@@ -197,6 +324,7 @@ let () =
           tc "rejects existentials" test_datalog_rejects_existentials;
           tc "agrees with chase" test_datalog_agrees_with_chase;
           tc "rounds" test_datalog_rounds;
+          tc "round budget" test_datalog_round_budget;
           tc "trivial" test_datalog_empty_delta_terminates;
           tc "lemma 33 decomposition" test_datalog_lemma33_decomposition;
         ] );
@@ -204,6 +332,9 @@ let () =
         [
           tc "basic" test_containment_basic;
           tc "with answers" test_containment_with_answers;
+          tc "canonical database" test_canonical_database;
+          tc "ucq containment" test_ucq_containment;
+          tc "ucq cover" test_ucq_cover;
         ] );
       ( "ramsey-empirical",
         [

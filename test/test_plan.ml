@@ -172,6 +172,43 @@ let test_inj_repeated_tuple () =
   check "not injectively" false (Cq.holds_inj ~tuple:[ a; a ] i edge);
   check "loop holds injectively" true (Cq.holds_inj ~tuple:[ a; a ] i loop)
 
+(* A partial repeat: [x] and [z] share the image [a] at the tuple
+   [(a,b,a)], which a query that repeats its own answer variable admits
+   injectively and one with three distinct answer variables does not. *)
+let test_inj_partial_repeat () =
+  let i = Parser.instance "E(a,b), E(b,a)" in
+  let a = Term.cst "a" and b = Term.cst "b" in
+  let x = Term.var "x" and y = Term.var "y" and z = Term.var "z" in
+  let e s t = Atom.app "E" [ s; t ] in
+  let path = Cq.make ~answer:[ x; y; z ] [ e x y; e y z ] in
+  let cycle = Cq.make ~answer:[ x; y; x ] [ e x y; e y x ] in
+  check "path holds" true (Cq.holds ~tuple:[ a; b; a ] i path);
+  check "path not injectively" false (Cq.holds_inj ~tuple:[ a; b; a ] i path);
+  check "cycle injectively" true (Cq.holds_inj ~tuple:[ a; b; a ] i cycle);
+  check "distinct tuple unaffected" true
+    (Cq.holds_inj ~tuple:[ a; b ]
+       (Parser.instance "E(a,b)")
+       (Cq.make ~answer:[ x; y ] [ e x y ]))
+
+(* [Ucq.witness ~inj] on a repeated tuple skips a disjunct that holds only
+   by merging two answer variables. *)
+let test_ucq_witness_repeated_tuple () =
+  let i = Parser.instance "E(a,a)" in
+  let a = Term.cst "a" and x = Term.var "x" and y = Term.var "y" in
+  let edge = Cq.make ~answer:[ x; y ] [ Atom.app "E" [ x; y ] ] in
+  let loop = Cq.make ~answer:[ x; x ] [ Atom.app "E" [ x; x ] ] in
+  let u = Ucq.make [ edge; loop ] in
+  let first ~inj =
+    Option.map fst (Ucq.witness ~tuple:[ a; a ] ~inj i u)
+  in
+  check "plain: the edge" true
+    (Option.map (Cq.compare edge) (first ~inj:false) = Some 0);
+  check "injective: the loop" true
+    (Option.map (Cq.compare loop) (first ~inj:true) = Some 0);
+  check "Ucq.holds_inj" true (Ucq.holds_inj ~tuple:[ a; a ] i u);
+  check "edge alone fails" false
+    (Ucq.holds_inj ~tuple:[ a; a ] i (Ucq.of_cq edge))
+
 let vars_of body = Term.sorted_elements (Atom.vars_of_list body)
 
 (* A CQ over a random body: up to two answer positions drawn (with
@@ -238,6 +275,40 @@ let prop_cq_agrees =
       && List.sort_uniq compare
            (List.map (List.map Term.code) (Cq.answers inst q))
          = oracle_answers inst q)
+
+(* Repeated tuples, drawn on purpose: two distinct answer variables and
+   one constant of the instance for both, so a homomorphism that merges
+   them is common and only [⊨_inj]'s injectivity on the answer variables
+   rules it out. *)
+let repeated_arb =
+  QCheck.make ~print:(fun (q, _) -> pp_cq q)
+    QCheck.Gen.(
+      let var = map (fun i -> Term.var (Fmt.str "v%d" i)) (int_range 0 3) in
+      inst_gen >>= fun inst ->
+      list_size (int_range 1 3) (map2 (fun s t -> Atom.make e2 [ s; t ]) var var)
+      >>= fun body ->
+      let vs = vars_of body in
+      let distinct =
+        List.concat_map
+          (fun u ->
+            List.filter_map
+              (fun v -> if Term.equal u v then None else Some (u, v))
+              vs)
+          vs
+      in
+      match (distinct, Term.sorted_elements (Instance.adom inst)) with
+      | _ :: _, (_ :: _ as cs) ->
+          pair (oneofl distinct) (oneofl cs) >|= fun ((u, v), c) ->
+          ((Cq.make ~answer:[ u; v ] body, [ c; c ]), inst)
+      | _ -> return ((Cq.boolean body, []), inst))
+
+let prop_inj_repeated_agrees =
+  QCheck.Test.make ~name:"⊨_inj on repeated tuples ≡ oracle" ~count:300
+    repeated_arb (fun ((q, tuple), inst) ->
+      Cq.holds ~tuple inst q
+      = Option.is_some (oracle_find ~tuple ~inj:false inst q)
+      && Cq.holds_inj ~tuple inst q
+         = Option.is_some (oracle_find ~tuple ~inj:true inst q))
 
 let prop_subsumes_agrees =
   QCheck.Test.make ~name:"Cq.subsumes ≡ oracle" ~count:300
@@ -427,6 +498,7 @@ let props =
       prop_same_matches_init;
       prop_same_order_small;
       prop_cq_agrees;
+      prop_inj_repeated_agrees;
       prop_subsumes_agrees;
       prop_ucq_witness_agrees;
       prop_isomorphic_agrees;
@@ -446,6 +518,9 @@ let () =
           tc "plan shape" `Quick test_plan_shape;
           tc "cache discipline" `Quick test_cache_discipline;
           tc "injective on a repeated tuple" `Quick test_inj_repeated_tuple;
+          tc "injective on a partial repeat" `Quick test_inj_partial_repeat;
+          tc "Ucq.witness on a repeated tuple" `Quick
+            test_ucq_witness_repeated_tuple;
         ] );
       ("properties", props);
     ]

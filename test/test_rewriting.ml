@@ -212,6 +212,25 @@ let test_bdd_cross_validation () =
   check "cross validation passes" true
     (Nca_oracle.Bdd_sample.cross_validate rules eq v.rewriting samples)
 
+(* The sampling check is not vacuous: it rejects a rewriting that misses
+   what the chase derives, and one that claims what it does not. *)
+let test_bdd_cross_validation_rejects () =
+  let x0 = Term.var "x0" and x1 = Term.var "x1" in
+  let rules = (Nca_core.Rulesets.example1_bdd).rules in
+  let unrelated =
+    Ucq.of_cq (Cq.make ~answer:[ x0; x1 ] [ Atom.app "F" [ x0; x1 ] ])
+  in
+  check "missing disjuncts rejected" false
+    (Nca_oracle.Bdd_sample.cross_validate rules eq unrelated
+       [ Parser.instance "E(a,b)" ]);
+  let overclaiming =
+    Ucq.of_cq
+      (Cq.make ~answer:[ x0; x1 ] [ Atom.app "A" [ x0 ]; Atom.app "B" [ x1 ] ])
+  in
+  check "overclaiming rejected" false
+    (Nca_oracle.Bdd_sample.cross_validate [] eq overclaiming
+       [ Parser.instance "A(a), B(b)" ])
+
 (* ------------------------------------------------------------------ *)
 (* Injective rewritings (Prop. 6) *)
 
@@ -504,6 +523,7 @@ let () =
           tc "zoo classification" test_bdd_zoo_classification;
           tc "constants" test_bdd_constant_bounds;
           tc "cross validation" test_bdd_cross_validation;
+          tc "cross validation rejects" test_bdd_cross_validation_rejects;
         ] );
       ( "injective",
         [
